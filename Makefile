@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race check fmt vet lint bench bench-suite bench-hot bench-smp bench-mesh bench-dev bench-sessions tables bench-report baseline parity chaos chaos-short
+.PHONY: all build test race check fmt vet lint bench bench-suite bench-hot bench-smp bench-mesh bench-dev bench-sessions tables bench-report baseline chaos chaos-short
 
 all: check
 
@@ -48,8 +48,8 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # bench-suite measures BenchmarkRunAllSerial with a fixed iteration count
-# and repetition, the configuration to quote when comparing fast-path or
-# harness changes: -benchtime 3x amortizes warm-up, -count 5 exposes
+# and repetition, the configuration to quote when comparing access-path
+# or harness changes: -benchtime 3x amortizes warm-up, -count 5 exposes
 # run-to-run spread (feed the output to benchstat if installed). Pin CPU
 # frequency scaling before trusting small deltas.
 bench-suite:
@@ -97,25 +97,16 @@ tables:
 	$(GO) run ./cmd/tablegen -parallel 4
 
 # bench-report runs the experiment suite on the parallel harness and
-# gates against the committed baseline (simulated cycles, deterministic).
+# requires its deterministic surface (simulated cycles and counters) to
+# match the committed baseline byte for byte.
 bench-report:
-	$(GO) run ./cmd/benchreport -parallel 4 -baseline BENCH_baseline.json -threshold 15
+	$(GO) run ./cmd/benchreport -parallel 4 -baseline BENCH_baseline.json
 
 # baseline refreshes BENCH_baseline.json; commit the result whenever a
-# deliberate cost-model or experiment change moves simulated cycles.
+# deliberate cost-model or experiment change moves simulated cycles or
+# recorded counters.
 baseline:
 	$(GO) run ./cmd/benchreport -parallel 4 -o BENCH_baseline.json
-
-# parity is the fast-path parity gate, runnable locally: sweep the suite
-# with the verdict fast path off and on, write the deterministic parity
-# surfaces (sim cycles + counters, no wall/host noise), and require them
-# byte-identical. The on-leg also enforces the E1 warm-hit floor.
-parity:
-	$(GO) run ./cmd/benchreport -parallel 4 -o '' -fastpath=false -surface parity-off.surface
-	$(GO) run ./cmd/benchreport -parallel 4 -o '' -fastpath=true -surface parity-on.surface -min-warm-hit 80
-	diff parity-off.surface parity-on.surface
-	@rm -f parity-off.surface parity-on.surface
-	@echo "parity: surfaces byte-identical with fast path on/off"
 
 # chaos runs the deterministic fault campaign: every experiment under
 # every fault scenario, with the shadow protection oracle verifying

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/core"
-	"repro/internal/fastpath"
 	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/trace"
@@ -280,14 +279,3 @@ func benchRunAll(b *testing.B, parallelism int) {
 
 func BenchmarkRunAllSerial(b *testing.B)    { benchRunAll(b, 1) }
 func BenchmarkRunAllParallel4(b *testing.B) { benchRunAll(b, 4) }
-
-// BenchmarkRunAllSerialSlowPath is the same sweep with the verdict fast
-// path disabled — the before/after pair for quoting the fast path's
-// wall-time effect (sim-cycles must match BenchmarkRunAllSerial exactly;
-// the parity gate enforces it).
-func BenchmarkRunAllSerialSlowPath(b *testing.B) {
-	was := fastpath.Enabled()
-	fastpath.SetEnabled(false)
-	defer fastpath.SetEnabled(was)
-	benchRunAll(b, 1)
-}

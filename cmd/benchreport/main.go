@@ -4,21 +4,22 @@
 // hardware counters, and host/go metadata.
 //
 // With -baseline it also compares the fresh report against a committed
-// baseline and exits non-zero when any experiment's simulated-cycle
-// total grew past the threshold — the CI regression gate. Simulated
+// baseline and exits non-zero when the deterministic surface (simulated
+// cycles and hardware counters, see benchfmt.ParitySurface) differs in
+// any line — the CI regression gate. It prints the per-experiment
+// simulated-cycle deltas and the first differing surface line. Simulated
 // cycles are deterministic, so the committed baseline is portable across
 // hosts; wall time is recorded but only gated when -wall-threshold is
 // set (it is host noise otherwise).
 //
 // Usage:
 //
-//	benchreport                                        # write BENCH_report.json
-//	benchreport -o BENCH_baseline.json                 # refresh the baseline
-//	benchreport -baseline BENCH_baseline.json -threshold 15
+//	benchreport                                   # write BENCH_report.json
+//	benchreport -o BENCH_baseline.json            # refresh the baseline
+//	benchreport -baseline BENCH_baseline.json     # exact-surface gate
 //	benchreport -parallel 4 -v
-//	benchreport -fastpath=false -surface off.surface   # parity gate, off leg
-//	benchreport -wall-budget-ms 30000                  # suite wall budget
-//	benchreport -min-warm-hit 80                       # E1 warm hit floor
+//	benchreport -o '' -surface run.surface        # write the surface only
+//	benchreport -wall-budget-ms 30000             # suite wall budget
 package main
 
 import (
@@ -30,25 +31,19 @@ import (
 
 	"repro/internal/benchfmt"
 	"repro/internal/core"
-	"repro/internal/fastpath"
 	"repro/internal/stats"
 )
 
 func main() {
 	out := flag.String("o", "BENCH_report.json", "report output path (empty = don't write)")
 	baseline := flag.String("baseline", "", "baseline report to compare against")
-	threshold := flag.Float64("threshold", 10, "max allowed simulated-cycle growth per experiment, percent")
 	wallThreshold := flag.Float64("wall-threshold", 0, "max allowed wall-time growth per experiment, percent (0 = don't gate wall time)")
 	par := flag.Int("parallel", 0, "experiments to run concurrently (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print the per-experiment measurement table")
-	fastPath := flag.Bool("fastpath", true, "enable the verdict fast path (parity gate runs the suite once with each setting)")
-	surface := flag.String("surface", "", "write the deterministic parity surface (sim cycles + counters, no wall/host data) to this path")
+	surface := flag.String("surface", "", "write the deterministic surface (sim cycles + counters, no wall/host data) to this path")
 	wallBudget := flag.Float64("wall-budget-ms", 0, "fail if the whole suite's wall time exceeds this many ms (0 = don't gate; set with ~3x headroom, wall time is host noise)")
-	minWarmHit := flag.Float64("min-warm-hit", 0, "fail if the warm hit rate of -min-warm-hit-exp falls below this percent (0 = don't gate; needs -fastpath)")
-	minWarmHitExp := flag.String("min-warm-hit-exp", "E1", "experiment the -min-warm-hit floor applies to")
 	flag.Parse()
 
-	fastpath.SetEnabled(*fastPath)
 	sum := core.RunAll(*par)
 	if len(sum.Failures) > 0 {
 		for _, err := range sum.Failures {
@@ -76,19 +71,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchreport: surface: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("benchreport: wrote parity surface %s\n", *surface)
+		fmt.Printf("benchreport: wrote surface %s\n", *surface)
 	}
 	if *wallBudget > 0 && report.TotalWallMS > *wallBudget {
 		fmt.Fprintf(os.Stderr, "benchreport: suite wall time %.1fms exceeds budget %.0fms\n",
 			report.TotalWallMS, *wallBudget)
 		os.Exit(3)
-	}
-	if *minWarmHit > 0 {
-		if err := checkWarmHitFloor(report, *minWarmHitExp, *minWarmHit, *fastPath); err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-			os.Exit(4)
-		}
-		fmt.Printf("benchreport: %s warm hit rate above %.0f%% floor\n", *minWarmHitExp, *minWarmHit)
 	}
 
 	if *baseline == "" {
@@ -99,18 +87,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchreport: baseline: %v\n", err)
 		os.Exit(1)
 	}
-	deltas, regressed := benchfmt.Compare(base, report, *threshold)
-	printDeltas("simulated cycles", deltas, *threshold)
+	printDeltas("Simulated cycles against the baseline (any change fails)", benchfmt.Compare(base, report))
+	failed := false
+	if diff := benchfmt.SurfaceDiff(base, report); diff != "" {
+		fmt.Fprintf(os.Stderr, "benchreport: surface differs from %s at %s\n", *baseline, diff)
+		failed = true
+	}
 	if *wallThreshold > 0 {
 		wallDeltas, wallRegressed := benchfmt.CompareWall(base, report, *wallThreshold)
-		printDeltas("wall time", wallDeltas, *wallThreshold)
-		regressed = regressed || wallRegressed
+		printDeltas(fmt.Sprintf("Wall time (threshold %.0f%%)", *wallThreshold), wallDeltas)
+		if wallRegressed {
+			fmt.Fprintf(os.Stderr, "benchreport: wall time regressed past %.0f%% against %s\n", *wallThreshold, *baseline)
+			failed = true
+		}
 	}
-	if regressed {
-		fmt.Fprintf(os.Stderr, "benchreport: regression past %.0f%% against %s\n", *threshold, *baseline)
+	if failed {
 		os.Exit(2)
 	}
-	fmt.Printf("benchreport: no regression past %.0f%% against %s\n", *threshold, *baseline)
+	fmt.Printf("benchreport: surface identical to %s\n", *baseline)
 }
 
 func buildReport(sum core.Summary, par int) *benchfmt.Report {
@@ -128,46 +122,15 @@ func buildReport(sum core.Summary, par int) *benchfmt.Report {
 		TotalSimCycles: sum.SimCycles,
 	}
 	for _, res := range sum.Results {
-		e := benchfmt.Experiment{
+		r.Experiments = append(r.Experiments, benchfmt.Experiment{
 			ID:        res.Experiment.ID,
 			Title:     res.Experiment.Title,
 			WallMS:    ms(res.Wall),
 			SimCycles: res.SimCycles,
 			Counters:  benchfmt.FilterKey(res.Counters),
-		}
-		if fp := res.FastPath; fp.Hits+fp.Misses+fp.Installs+fp.Invalidations > 0 {
-			e.FastPath = &benchfmt.FastPath{
-				Hits:          fp.Hits,
-				Misses:        fp.Misses,
-				Installs:      fp.Installs,
-				Invalidations: fp.Invalidations,
-				HitRate:       fp.HitRate(),
-				WarmHitRate:   fp.WarmHitRate(),
-			}
-		}
-		r.Experiments = append(r.Experiments, e)
+		})
 	}
 	return r
-}
-
-// checkWarmHitFloor enforces the CI hit-rate floor: the named experiment's
-// warm hit rate (hits over hits+installs) must be at least floorPct.
-func checkWarmHitFloor(r *benchfmt.Report, id string, floorPct float64, fastPathOn bool) error {
-	if !fastPathOn {
-		return fmt.Errorf("-min-warm-hit requires -fastpath")
-	}
-	e, ok := r.ByID(id)
-	if !ok {
-		return fmt.Errorf("warm-hit floor: no experiment %q in report", id)
-	}
-	if e.FastPath == nil {
-		return fmt.Errorf("warm-hit floor: %s recorded no fast-path activity", id)
-	}
-	if got := e.FastPath.WarmHitRate * 100; got < floorPct {
-		return fmt.Errorf("warm-hit floor: %s warm hit rate %.1f%% below %.0f%% (hits=%d installs=%d)",
-			id, got, floorPct, e.FastPath.Hits, e.FastPath.Installs)
-	}
-	return nil
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
@@ -182,13 +145,12 @@ func printReport(r *benchfmt.Report) {
 	fmt.Println()
 }
 
-func printDeltas(metric string, deltas []benchfmt.Delta, threshold float64) {
-	t := stats.NewTable(fmt.Sprintf("Regression gate: %s (threshold %.0f%%)", metric, threshold),
-		"experiment", "baseline", "current", "change", "verdict")
+func printDeltas(title string, deltas []benchfmt.Delta) {
+	t := stats.NewTable(title, "experiment", "baseline", "current", "change", "verdict")
 	for _, d := range deltas {
 		verdict := "ok"
 		if d.Regressed {
-			verdict = "REGRESSED"
+			verdict = "FAIL"
 		}
 		note := fmt.Sprintf("%+.2f%%", d.Pct)
 		if d.Note != "" {

@@ -97,12 +97,6 @@ type Cache[K comparable, V any] struct {
 	rng     *rand.Rand
 	onEvict func(K, V)
 
-	// lastSet/lastWay record the slot of the most recent Lookup hit or
-	// Insert, so a caller that just took the structural path can learn
-	// where its entry landed without a second scan (LastSlot). Consumers
-	// must re-validate the slot with PeekAt before trusting it.
-	lastSet, lastWay int32
-
 	// idx maps key → way for large fully-associative structures, turning
 	// the per-access way scan into one map probe. Pure host-side
 	// acceleration: every probe validates the slot (live + key match), so
@@ -206,17 +200,10 @@ func (c *Cache[K, V]) Lookup(k K) (V, bool) {
 	if i := c.find(si, k); i >= 0 {
 		e := &c.sets[si][i]
 		e.lastUse = c.tick
-		c.lastSet, c.lastWay = int32(si), int32(i)
 		return e.val, true
 	}
 	var zero V
 	return zero, false
-}
-
-// LastSlot returns the slot of the most recent Lookup hit or Insert. The
-// slot may have been evicted or purged since; validate with PeekAt.
-func (c *Cache[K, V]) LastSlot() (set, way int) {
-	return int(c.lastSet), int(c.lastWay)
 }
 
 // Peek finds k without disturbing replacement state.
@@ -227,48 +214,6 @@ func (c *Cache[K, V]) Peek(k K) (V, bool) {
 	}
 	var zero V
 	return zero, false
-}
-
-// Locate finds the slot currently holding k without disturbing replacement
-// state, for later validation with PeekAt and replay with TouchAt.
-func (c *Cache[K, V]) Locate(k K) (set, way int, ok bool) {
-	set = c.setIndex(k)
-	if i := c.find(set, k); i >= 0 {
-		return set, i, true
-	}
-	return 0, 0, false
-}
-
-// PeekAt returns the value at (set, way) if that slot currently holds a
-// live entry for k, without disturbing replacement state. It is the
-// validation half of a located-slot fast path: a false result means the
-// slot was evicted, purged, or reused since Locate.
-func (c *Cache[K, V]) PeekAt(set, way int, k K) (V, bool) {
-	if set < 0 || set >= len(c.sets) || way < 0 || way >= c.cfg.Ways {
-		var zero V
-		return zero, false
-	}
-	e := &c.sets[set][way]
-	if c.live(e) && e.key == k {
-		return e.val, true
-	}
-	var zero V
-	return zero, false
-}
-
-// TouchAt replays the replacement side effect of a Lookup hit on the slot
-// (set, way): the global tick advances and the slot becomes most recently
-// used. The slot must hold a live entry, as established by PeekAt.
-func (c *Cache[K, V]) TouchAt(set, way int) {
-	c.tick++
-	c.sets[set][way].lastUse = c.tick
-}
-
-// UpdateAt rewrites the value at (set, way) in place, preserving
-// replacement state. The slot must hold a live entry, as established by
-// PeekAt.
-func (c *Cache[K, V]) UpdateAt(set, way int, v V) {
-	c.sets[set][way].val = v
 }
 
 // Insert adds or replaces the mapping for k. If an unrelated valid entry
@@ -282,7 +227,6 @@ func (c *Cache[K, V]) Insert(k K, v V) (evictedKey K, evictedVal V, evicted bool
 	if i := c.find(si, k); i >= 0 {
 		set[i].val = v
 		set[i].lastUse = c.tick
-		c.lastSet, c.lastWay = int32(si), int32(i)
 		return evictedKey, evictedVal, false
 	}
 	// Use an invalid way if one exists.
@@ -290,7 +234,6 @@ func (c *Cache[K, V]) Insert(k K, v V) (evictedKey K, evictedVal V, evicted bool
 		if !c.live(&set[i]) {
 			set[i] = entry[K, V]{key: k, val: v, valid: true, gen: c.gen, lastUse: c.tick, inserted: c.tick}
 			c.size++
-			c.lastSet, c.lastWay = int32(si), int32(i)
 			if c.idx != nil {
 				c.idx[k] = int32(i)
 			}
@@ -304,7 +247,6 @@ func (c *Cache[K, V]) Insert(k K, v V) (evictedKey K, evictedVal V, evicted bool
 		c.onEvict(evictedKey, evictedVal)
 	}
 	set[victim] = entry[K, V]{key: k, val: v, valid: true, gen: c.gen, lastUse: c.tick, inserted: c.tick}
-	c.lastSet, c.lastWay = int32(si), int32(victim)
 	if c.idx != nil {
 		delete(c.idx, evictedKey)
 		c.idx[k] = int32(victim)

@@ -5,12 +5,12 @@
 //
 // A report records, per experiment, the host wall time and the total
 // simulated cycles plus key hardware counters its probe observed. The
-// regression gate compares simulated cycles, which are fully
-// deterministic — the same source tree produces the same cycle counts on
-// any host — so a committed baseline is portable and a threshold breach
-// always means the modeled system changed, never that CI hardware was
-// noisy. Wall time is recorded for throughput tracking but is gated
-// separately (opt-in) for exactly that reason.
+// gate compares the deterministic part — simulated cycles and counters,
+// which the same source tree reproduces exactly on any host — so a
+// committed baseline is portable and any difference means the modeled
+// system changed, never that CI hardware was noisy. Wall time is
+// recorded for throughput tracking but is gated separately (opt-in) for
+// exactly that reason.
 package benchfmt
 
 import (
@@ -42,22 +42,6 @@ type Experiment struct {
 	SimCycles uint64  `json:"sim_cycles"`
 	// Counters holds the key hardware counters (see FilterKey).
 	Counters map[string]uint64 `json:"counters,omitempty"`
-	// FastPath holds verdict fast-path diagnostics when the fast path was
-	// enabled for the run. Host-side measurement only: it is excluded
-	// from ParitySurface, so the on/off parity gate never sees it.
-	FastPath *FastPath `json:"fastpath,omitempty"`
-}
-
-// FastPath is the verdict fast-path diagnostic block of one experiment.
-type FastPath struct {
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Installs      uint64 `json:"installs"`
-	Invalidations uint64 `json:"invalidations"`
-	// HitRate is hits/(hits+misses); WarmHitRate is hits/(hits+installs),
-	// the cold-traffic-insensitive form the CI floor gates on.
-	HitRate     float64 `json:"hit_rate"`
-	WarmHitRate float64 `json:"warm_hit_rate"`
 }
 
 // Report is the top-level BENCH_report.json document.
@@ -162,11 +146,10 @@ func FilterKey(snap map[string]uint64) map[string]uint64 {
 
 // ParitySurface projects a report onto its deterministic surface: per
 // experiment (sorted by id), the simulated-cycle total and every recorded
-// hardware counter, one per line. Wall times, timestamps, host metadata,
-// and fast-path diagnostics — everything legitimately allowed to differ
-// between two runs of the same tree — are excluded. The fast-path parity
-// gate writes this surface for an on-run and an off-run and requires the
-// two files to be byte-identical.
+// hardware counter, one per line. Wall times, timestamps and host
+// metadata — everything legitimately allowed to differ between two runs
+// of the same tree — are excluded. The baseline gate requires a fresh
+// run's surface to be byte-identical to the baseline's (SurfaceDiff).
 func ParitySurface(r *Report) string {
 	var b strings.Builder
 	exps := append([]Experiment(nil), r.Experiments...)
@@ -186,6 +169,27 @@ func ParitySurface(r *Report) string {
 	return b.String()
 }
 
+// SurfaceDiff compares the deterministic surfaces of base and cur and
+// describes the first line that differs, or returns "" when the two are
+// byte-identical.
+func SurfaceDiff(base, cur *Report) string {
+	b := strings.Split(ParitySurface(base), "\n")
+	c := strings.Split(ParitySurface(cur), "\n")
+	for i := 0; i < len(b) || i < len(c); i++ {
+		bl, cl := "<end of surface>", "<end of surface>"
+		if i < len(b) {
+			bl = b[i]
+		}
+		if i < len(c) {
+			cl = c[i]
+		}
+		if bl != cl {
+			return fmt.Sprintf("line %d: baseline %q, current %q", i+1, bl, cl)
+		}
+	}
+	return ""
+}
+
 // Delta is one per-experiment comparison against a baseline.
 type Delta struct {
 	ID string
@@ -194,36 +198,30 @@ type Delta struct {
 	Base, Cur uint64
 	// Pct is the signed percentage change from Base to Cur.
 	Pct float64
-	// Regressed reports whether Pct exceeds the gate threshold.
+	// Regressed reports whether the delta fails its gate: any change in
+	// simulated cycles, or wall-time growth past the threshold.
 	Regressed bool
 	// Note flags structural differences (new experiment, missing from
 	// the current run).
 	Note string
 }
 
-// Compare gates cur against base: for every baseline experiment, the
-// simulated-cycle total may grow by at most thresholdPct percent.
-// Experiments missing from the current run are regressions (lost
-// coverage); experiments new in cur are reported but never fail the
-// gate. Deltas come back sorted by experiment id, worst regressions
-// flagged.
-func Compare(base, cur *Report, thresholdPct float64) ([]Delta, bool) {
+// Compare is the per-experiment simulated-cycle diagnostic behind the
+// surface gate: every baseline experiment whose total changed, or that
+// is missing from the current run, is flagged; experiments new in cur
+// are noted but never flagged (SurfaceDiff still catches them). Deltas
+// come back sorted by experiment id.
+func Compare(base, cur *Report) []Delta {
 	var deltas []Delta
-	regressed := false
 	for _, be := range base.Experiments {
 		ce, ok := cur.ByID(be.ID)
 		if !ok {
 			deltas = append(deltas, Delta{ID: be.ID, Base: be.SimCycles,
 				Regressed: true, Note: "missing from current run"})
-			regressed = true
 			continue
 		}
-		d := Delta{ID: be.ID, Base: be.SimCycles, Cur: ce.SimCycles, Pct: pctChange(be.SimCycles, ce.SimCycles)}
-		if d.Pct > thresholdPct {
-			d.Regressed = true
-			regressed = true
-		}
-		deltas = append(deltas, d)
+		deltas = append(deltas, Delta{ID: be.ID, Base: be.SimCycles, Cur: ce.SimCycles,
+			Pct: pctChange(be.SimCycles, ce.SimCycles), Regressed: ce.SimCycles != be.SimCycles})
 	}
 	for _, ce := range cur.Experiments {
 		if _, ok := base.ByID(ce.ID); !ok {
@@ -231,19 +229,19 @@ func Compare(base, cur *Report, thresholdPct float64) ([]Delta, bool) {
 		}
 	}
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].ID < deltas[j].ID })
-	return deltas, regressed
+	return deltas
 }
 
-// CompareWall applies the same gate to wall time (milliseconds). Wall
-// time is host-dependent and noisy, so this gate is opt-in and should
-// use a generous threshold.
+// CompareWall gates wall time (milliseconds): each experiment may grow
+// by at most thresholdPct percent. Wall time is host-dependent and
+// noisy, so this gate is opt-in and should use a generous threshold.
 func CompareWall(base, cur *Report, thresholdPct float64) ([]Delta, bool) {
 	var deltas []Delta
 	regressed := false
 	for _, be := range base.Experiments {
 		ce, ok := cur.ByID(be.ID)
 		if !ok {
-			continue // the cycle gate already reports missing experiments
+			continue // Compare already reports missing experiments
 		}
 		b, c := uint64(be.WallMS*1000), uint64(ce.WallMS*1000)
 		d := Delta{ID: be.ID, Base: b, Cur: c, Pct: pctChange(b, c)}

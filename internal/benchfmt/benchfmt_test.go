@@ -67,30 +67,27 @@ func TestDecodeRejectsBadReports(t *testing.T) {
 	}
 }
 
-func TestCompareThreshold(t *testing.T) {
+func TestCompareFlagsAnyChange(t *testing.T) {
 	base := sampleReport()
 	cur := sampleReport()
-	cur.Experiments[0].SimCycles = 1100 // +10%
+	cur.Experiments[0].SimCycles = 1001 // +0.1%
 	cur.Experiments[1].SimCycles = 95   // -5%
 
-	deltas, regressed := Compare(base, cur, 15)
-	if regressed {
-		t.Fatalf("+10%% flagged at threshold 15: %+v", deltas)
-	}
-	deltas, regressed = Compare(base, cur, 5)
-	if !regressed {
-		t.Fatal("+10% not flagged at threshold 5")
-	}
-	for _, d := range deltas {
+	for _, d := range Compare(base, cur) {
 		switch d.ID {
 		case "E1":
-			if !d.Regressed || d.Pct < 9.9 || d.Pct > 10.1 {
-				t.Errorf("E1 delta = %+v, want ~+10%% regressed", d)
+			if !d.Regressed || d.Pct < 0.09 || d.Pct > 0.11 {
+				t.Errorf("E1 delta = %+v, want ~+0.1%% flagged", d)
 			}
 		case "E2":
-			if d.Regressed || d.Pct > 0 {
-				t.Errorf("E2 delta = %+v, want improvement, not regressed", d)
+			if !d.Regressed || d.Pct > 0 {
+				t.Errorf("E2 delta = %+v, want a flagged decrease", d)
 			}
+		}
+	}
+	for _, d := range Compare(base, sampleReport()) {
+		if d.Regressed || d.Pct != 0 {
+			t.Errorf("identical run flagged: %+v", d)
 		}
 	}
 }
@@ -103,12 +100,8 @@ func TestCompareStructuralDiffs(t *testing.T) {
 		cur.Experiments[0],
 		{ID: "E9", Title: "new", SimCycles: 5},
 	}
-	deltas, regressed := Compare(base, cur, 50)
-	if !regressed {
-		t.Fatal("missing experiment must fail the gate")
-	}
 	byID := map[string]Delta{}
-	for _, d := range deltas {
+	for _, d := range Compare(base, cur) {
 		byID[d.ID] = d
 	}
 	if d := byID["E2"]; !d.Regressed || d.Note == "" {
@@ -116,6 +109,30 @@ func TestCompareStructuralDiffs(t *testing.T) {
 	}
 	if d := byID["E9"]; d.Regressed || d.Note == "" {
 		t.Errorf("E9 (new) = %+v, want noted but not regressed", d)
+	}
+}
+
+// TestSurfaceDiff: the gate passes only on byte-identical surfaces and
+// names the first differing line otherwise; wall time and host metadata
+// never count.
+func TestSurfaceDiff(t *testing.T) {
+	base := sampleReport()
+	cur := sampleReport()
+	cur.TotalWallMS *= 3
+	cur.Experiments[1].WallMS = 1
+	cur.Host.NumCPU = 1
+	if d := SurfaceDiff(base, cur); d != "" {
+		t.Fatalf("wall/host-only change reported: %s", d)
+	}
+	cur.Experiments[0].Counters["plb.hit"] = 43
+	want := `line 3: baseline "E1 counter plb.hit 42", current "E1 counter plb.hit 43"`
+	if d := SurfaceDiff(base, cur); d != want {
+		t.Fatalf("SurfaceDiff = %s, want %s", d, want)
+	}
+	cur = sampleReport()
+	cur.Experiments = append(cur.Experiments, Experiment{ID: "E3", SimCycles: 1})
+	if d := SurfaceDiff(base, cur); !strings.Contains(d, "E3 sim_cycles 1") {
+		t.Fatalf("added experiment not reported: %q", d)
 	}
 }
 

@@ -135,30 +135,6 @@ func (v *VirtualCache) Access(space addr.ASID, va addr.VA, store bool) bool {
 	return true
 }
 
-// ProbeLine locates the live line for va without any replacement or
-// counter side effects, for later replay with ReplayHit. ok is false on
-// a miss.
-func (v *VirtualCache) ProbeLine(space addr.ASID, va addr.VA) (set, way int, ok bool) {
-	return v.c.Locate(v.key(space, va))
-}
-
-// ReplayHit replays the exact side effects of an Access hit on the line
-// previously located by ProbeLine: the LRU touch, the conditional dirty
-// transition on a store, and the hit counter. The slot must still hold
-// the line for va (the caller validates with ProbeLine in the same
-// mutation-free window).
-func (v *VirtualCache) ReplayHit(set, way int, space addr.ASID, va addr.VA, store bool) {
-	k := v.key(space, va)
-	st, _ := v.c.PeekAt(set, way, k)
-	v.c.TouchAt(set, way)
-	if store && !st.dirty {
-		st.dirty = true
-		v.c.UpdateAt(set, way, st)
-		v.nDirty++
-	}
-	v.nHit.Inc()
-}
-
 // Fill installs the line for va after a miss, recording the physical frame
 // it came from. It returns true if a dirty victim had to be written back —
 // on the PLB machine, a writeback needs a translation, so the machine
@@ -362,25 +338,6 @@ func (p *PhysicalCache) Access(pa addr.PA, store bool) bool {
 	}
 	p.nHit.Inc()
 	return true
-}
-
-// ProbeLine locates the live line for pa without any replacement or
-// counter side effects, for later replay with ReplayHit.
-func (p *PhysicalCache) ProbeLine(pa addr.PA) (set, way int, ok bool) {
-	return p.c.Locate(uint64(pa) >> p.cfg.LineShift)
-}
-
-// ReplayHit replays the exact side effects of an Access hit on the line
-// previously located by ProbeLine (see VirtualCache.ReplayHit).
-func (p *PhysicalCache) ReplayHit(set, way int, pa addr.PA, store bool) {
-	line := uint64(pa) >> p.cfg.LineShift
-	st, _ := p.c.PeekAt(set, way, line)
-	p.c.TouchAt(set, way)
-	if store && !st.dirty {
-		st.dirty = true
-		p.c.UpdateAt(set, way, st)
-	}
-	p.nHit.Inc()
 }
 
 // Fill installs the line for pa after a miss.

@@ -9,13 +9,15 @@ import (
 	"repro/internal/kernel"
 )
 
+// TestAllExperimentsRun checks every experiment's outcome in the shared
+// serial sweep (see serialSweep): no error, tables present, rows
+// non-empty, and every table title carries the experiment ID.
 func TestAllExperimentsRun(t *testing.T) {
-	for _, e := range All() {
-		e := e
+	for _, r := range serialSweep().Results {
+		e, tables := r.Experiment, r.Tables
 		t.Run(e.ID, func(t *testing.T) {
-			tables, err := e.Run(nil)
-			if err != nil {
-				t.Fatalf("%s (%s): %v", e.ID, e.Title, err)
+			if r.Err != nil {
+				t.Fatalf("%s (%s): %v", e.ID, e.Title, r.Err)
 			}
 			if len(tables) == 0 {
 				t.Fatalf("%s produced no tables", e.ID)

@@ -22,7 +22,7 @@ const (
 	e18ScaleSessions = 12_000
 	// e18SweepEvery samples in-run oracle destroy sweeps: every Nth
 	// departure is followed by a full residual-authority scan of kernel
-	// tables, sharer directory, hardware caches and fast-path verdicts.
+	// tables, sharer directory and hardware caches.
 	// Prime, so the sample is not phase-locked to burst or private-
 	// segment cadence.
 	e18SweepEvery = 4099
@@ -70,8 +70,8 @@ func e18ChurnConfig(m kernel.Model) sessions.Config {
 //
 //   - Zero residual authority: a sampled oracle sweep after every
 //     e18SweepEvery-th destroy walks kernel tables, the sharer
-//     directory, PLB/TLB/checker state and cached fast-path verdicts
-//     for the dead ID and must find nothing.
+//     directory and PLB/TLB/checker state for the dead ID and must
+//     find nothing.
 //   - ID recycling carries the load: one million sessions cannot mint
 //     one million DomainIDs; all but the live-population's worth of
 //     creations must be recycled IDs (and for the page-group model,

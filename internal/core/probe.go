@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/fastpath"
 	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/stats"
@@ -23,7 +22,6 @@ import (
 type Probe struct {
 	cycles   uint64
 	counters stats.Counters
-	fp       fastpath.Stats
 }
 
 // ObserveCycles charges n simulated cycles to the run.
@@ -52,31 +50,9 @@ func (p *Probe) ObserveKernel(k *kernel.Kernel) {
 	}
 	p.cycles += k.TotalCycles()
 	for i := 0; i < k.NumCPUs(); i++ {
-		m := k.MachineAt(i)
-		p.counters.Merge(m.Counters())
-		p.ObserveFastPath(m)
+		p.counters.Merge(k.MachineAt(i).Counters())
 	}
 	p.counters.Merge(k.Counters())
-}
-
-// ObserveFastPath accumulates a machine's verdict fast-path statistics.
-// These are host-side diagnostics (hit-rate reporting), deliberately kept
-// out of the parity-compared counters.
-func (p *Probe) ObserveFastPath(m machine.Machine) {
-	if p == nil {
-		return
-	}
-	if f, ok := m.(machine.FastPathed); ok {
-		p.fp.Add(f.FastPathStats())
-	}
-}
-
-// FastPathStats returns the merged verdict fast-path statistics.
-func (p *Probe) FastPathStats() fastpath.Stats {
-	if p == nil {
-		return fastpath.Stats{}
-	}
-	return p.fp
 }
 
 // ObserveTrace records a trace replay's cycles and machine counters.
@@ -130,6 +106,5 @@ func runTrace(p *Probe, m machine.Machine, recs []trace.Record) (trace.Result, e
 		return res, err
 	}
 	p.ObserveTrace(res)
-	p.ObserveFastPath(m)
 	return res, nil
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fastpath"
 	"repro/internal/stats"
 )
 
@@ -25,9 +24,6 @@ type RunResult struct {
 	SimCycles uint64
 	// Counters is the run's merged hardware-counter snapshot.
 	Counters map[string]uint64
-	// FastPath is the run's merged verdict fast-path statistics — host
-	// diagnostics, deliberately outside the parity-compared Counters.
-	FastPath fastpath.Stats
 }
 
 // Section renders the experiment exactly as cmd/tablegen prints it: a
@@ -132,6 +128,5 @@ func runOne(e Experiment) RunResult {
 		Wall:       time.Since(start),
 		SimCycles:  p.SimCycles(),
 		Counters:   p.CounterSnapshot(),
-		FastPath:   p.FastPathStats(),
 	}
 }

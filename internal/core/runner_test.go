@@ -7,13 +7,21 @@ import (
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/trace"
+	"repro/internal/workload/dsm"
 )
+
+// serialSweep runs the whole suite serially once per test binary. The
+// determinism check and the per-experiment checks of
+// TestAllExperimentsRun share it, so the package's tests run the suite
+// twice in all: this serial sweep and one parallel sweep.
+var serialSweep = sync.OnceValue(func() Summary { return RunAll(1) })
 
 // TestRunAllDeterministic is the harness's core guarantee: serial and
 // wide-parallel sweeps must render byte-identical tables and identical
 // measurements, because every experiment isolates its own state.
 func TestRunAllDeterministic(t *testing.T) {
-	s1 := RunAll(1)
+	s1 := serialSweep()
 	s8 := RunAll(8)
 	if len(s1.Results) != len(s8.Results) {
 		t.Fatalf("result counts differ: %d vs %d", len(s1.Results), len(s8.Results))
@@ -161,6 +169,8 @@ func TestProbeNilSafe(t *testing.T) {
 	p.ObserveCycles(5)
 	p.ObserveCounters(map[string]uint64{"x": 1})
 	p.ObserveKernel(nil)
+	p.ObserveTrace(trace.Result{Cycles: 7, Counters: map[string]uint64{"y": 2}})
+	observeDSM(p, dsm.Report{MachineCycles: 3, NetMsgs: 4})
 	if p.SimCycles() != 0 || p.CounterSnapshot() != nil {
 		t.Fatal("nil probe recorded something")
 	}

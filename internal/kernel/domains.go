@@ -8,9 +8,9 @@ import "repro/internal/addr"
 // of short-lived sessions churning through the ID space — wants two
 // different properties:
 //
-//   - Domain lookup is on the access fast path (ResolveRights runs it
-//     per protection fault and per verdict validation), so it should be
-//     an array index, not a hash probe.
+//   - Domain lookup is on the access path (ResolveRights runs it per
+//     protection fault), so it should be an array index, not a hash
+//     probe.
 //   - An idle kernel, or one whose sessions all departed, should hold
 //     memory proportional to what is live, not to the high-water mark
 //     of one big hash table.

@@ -51,7 +51,6 @@ func (k *Kernel) SetPageRights(d *Domain, va addr.VA, r addr.Rights) error {
 	}
 	k.overridesRW(d).Set(vpn, r)
 	k.ctrs.Inc("kernel.set_page_rights")
-	k.bumpDomainEpoch(d)
 	err := k.engine.setPageRights(d, vpn, r)
 	k.flushIPIs()
 	return err
@@ -71,7 +70,6 @@ func (k *Kernel) ClearPageRights(d *Domain, va addr.VA) error {
 	k.overridesRW(d).Clear(vpn)
 	r := d.attached[s.ID]
 	k.ctrs.Inc("kernel.clear_page_rights")
-	k.bumpDomainEpoch(d)
 	err := k.engine.setPageRights(d, vpn, r)
 	k.flushIPIs()
 	return err
@@ -90,7 +88,6 @@ func (k *Kernel) SetSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
 		k.overridesRW(d).ClearRange(k.geo.PageNumber(s.Range.Start), s.NumPages())
 	}
 	k.ctrs.Inc("kernel.set_segment_rights")
-	k.bumpDomainEpoch(d)
 	err := k.engine.setSegmentRights(d, s, r)
 	k.flushIPIs()
 	return err

@@ -48,7 +48,6 @@ func (k *Kernel) GrantExecutor(target, code *Segment, r addr.Rights) error {
 	}
 	k.execGrants = append(k.execGrants, execGrant{code: code, target: target, r: r})
 	k.ctrs.Inc("kernel.exec_grants")
-	k.bumpGlobalEpoch()
 	// Resident entries for the target may now be too weak; purge them so
 	// the stronger rights fault in. (All domains: the grant is
 	// domain-independent.)
@@ -79,7 +78,6 @@ func (k *Kernel) RevokeExecutor(target, code *Segment) error {
 	k.execGrants = kept
 	if removed {
 		k.ctrs.Inc("kernel.exec_revokes")
-		k.bumpGlobalEpoch()
 		for i := uint64(0); i < target.NumPages(); i++ {
 			vpn := k.geo.PageNumber(target.PageVA(i))
 			k.plbm.PurgePage(target.PageVA(i))
@@ -106,7 +104,6 @@ func (k *Kernel) SetExecutionSite(d *Domain, va addr.VA) error {
 		return nil
 	}
 	k.ctrs.Inc("kernel.exec_site_changes")
-	k.bumpDomainEpoch(d)
 	// Purge cached rights for targets granted via either the old or the
 	// new code segment; both sets may now resolve differently for d.
 	for _, g := range k.execGrants {

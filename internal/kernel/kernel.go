@@ -253,10 +253,6 @@ type Domain struct {
 	// execSite is the domain's current execution address, for
 	// execution-keyed protection (see exec.go).
 	execSite addr.VA
-	// protEpoch is the domain's protection epoch (epoch.go): bumped by
-	// every kernel mutation scoped to this domain, orphaning its cached
-	// fast-path verdicts.
-	protEpoch uint64
 	// cpus is the domain's residency set: CPU i is a member while it may
 	// cache the domain's protection entries (it ran the domain, or
 	// hardware installed an entry naming it there). Unlike the old
@@ -390,8 +386,8 @@ type kernel struct {
 	nextVA      addr.VA
 	freeVA      []addr.Range
 	// freeDomains pools destroyed Domain structs for ID recycling
-	// (lifecycle.go): LIFO, maps cleared for reuse, protection epoch
-	// carried forward. freeGroups recycles dead page-group numbers.
+	// (lifecycle.go): LIFO, maps cleared for reuse. freeGroups recycles
+	// dead page-group numbers.
 	freeDomains []*Domain
 	freeGroups  []addr.GroupID
 	// maxDomain/maxGroup narrow the ID allocators for exhaustion tests
@@ -406,10 +402,6 @@ type kernel struct {
 	// residentFIFO orders mapped pages for the page daemon's FIFO
 	// eviction; entries may be stale (skipped when popped).
 	residentFIFO []addr.VPN
-
-	// protEpoch is the global protection epoch (epoch.go): bumped by
-	// every kernel mutation that changes what any domain may see.
-	protEpoch uint64
 
 	ctrs   stats.Counters
 	cycles stats.Cycles
@@ -963,9 +955,6 @@ func (k *Kernel) RecoverHardware() int {
 // consulting translation, so a CPU leaving the sharer directory (which
 // stops unmap shootdowns from reaching it) must not keep any.
 func (k *Kernel) purgeCPU(i int) int {
-	if f, ok := k.machs[i].(machine.FastPathed); ok {
-		f.PurgeFastPath()
-	}
 	n := 0
 	switch {
 	case k.plbms != nil:
@@ -1158,7 +1147,6 @@ func (k *Kernel) Attach(d *Domain, s *Segment, r addr.Rights) {
 	d.ensureAttached()[s.ID] = r
 	s.attached[d.ID] = r
 	k.ctrs.Inc("kernel.attach")
-	k.bumpDomainEpoch(d)
 	k.engine.onAttach(d, s, r)
 	k.flushIPIs()
 }
@@ -1176,7 +1164,6 @@ func (k *Kernel) Detach(d *Domain, s *Segment) error {
 		k.overridesRW(d).ClearRange(startVPN, s.NumPages())
 	}
 	k.ctrs.Inc("kernel.detach")
-	k.bumpDomainEpoch(d)
 	k.engine.onDetach(d, s)
 	k.flushIPIs()
 	return nil
@@ -1193,7 +1180,6 @@ func (k *Kernel) Switch(d *Domain) {
 			k.withdrawCPU(k.cur)
 		}
 		k.mach.SwitchDomain(d.ID)
-		k.pushFastPathStamp(k.cur)
 	}
 	d.cpus.Add(k.cur)
 	k.active.Add(k.cur)

@@ -343,7 +343,6 @@ func (k *Kernel) PageOut(vpn addr.VPN) error {
 	if err := k.activePager().Out(vpn, k.memory.Data(pte.PFN)); err != nil {
 		return fmt.Errorf("kernel: page-out of %#x: %w", uint64(vpn), err)
 	}
-	k.bumpGlobalEpoch()
 	k.engine.onUnmap(vpn)
 	k.flushIPIs()
 	if _, err := k.trans.Unmap(vpn); err != nil {
@@ -399,7 +398,6 @@ func (k *Kernel) Unmap(vpn addr.VPN) error {
 	if !ok {
 		return fmt.Errorf("kernel: unmap of unmapped page %#x", uint64(vpn))
 	}
-	k.bumpGlobalEpoch()
 	k.engine.onUnmap(vpn)
 	k.flushIPIs()
 	if _, err := k.trans.Unmap(vpn); err != nil {

@@ -109,7 +109,6 @@ func (k *Kernel) DestroySegment(s *Segment) error {
 			break
 		}
 	}
-	k.bumpGlobalEpoch()
 	k.engine.onDestroySegment(s)
 	k.flushIPIs()
 	// Drop the range's sharer records only after the destroy shootdowns

@@ -5,7 +5,6 @@ import (
 	"repro/internal/assoc"
 	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/fastpath"
 	"repro/internal/pgroup"
 	"repro/internal/stats"
 	"repro/internal/tlb"
@@ -68,7 +67,6 @@ type PGMachine struct {
 	tlb     *tlb.PGTLB
 	checker pgroup.Checker
 	cache   *cache.VirtualCache
-	fp      fastpath.Table[PGVerdict]
 
 	ctrs   stats.Counters
 	cycles stats.Cycles
@@ -155,32 +153,11 @@ func (m *PGMachine) SwitchDomain(d addr.DomainID) {
 	m.cycles.Add(cost)
 }
 
-// Access implements Machine: the Figure 2 reference path, fronted by the
-// verdict fast path (which replays warm hits with identical side effects
-// or falls through to the structural path).
-func (m *PGMachine) Access(va addr.VA, kind addr.AccessKind) cpu.Outcome {
-	if fastpath.Enabled() {
-		if m.fastAccess(va, kind) {
-			return cpu.Outcome{}
-		}
-		before := m.cycles.Total()
-		out := m.slowAccess(va, kind)
-		// Warm hits charge exactly cache hit + on-chip group check; only
-		// those produce verdicts worth replaying (see PLBMachine.Access).
-		if out.Fault == cpu.FaultNone &&
-			m.cycles.Total()-before == m.cfg.Costs.CacheHit+m.cfg.Costs.OnChipLookup {
-			m.installVerdict(va)
-		}
-		return out
-	}
-	return m.slowAccess(va, kind)
-}
-
-// slowAccess is the structural Figure 2 reference path. The TLB must be
+// Access implements Machine: the Figure 2 reference path. The TLB must be
 // consulted on every reference to obtain the AID, then the page-group
 // check runs sequentially on its result — the dependent second lookup of
 // Section 4.2, charged as extra latency on every access.
-func (m *PGMachine) slowAccess(va addr.VA, kind addr.AccessKind) cpu.Outcome {
+func (m *PGMachine) Access(va addr.VA, kind addr.AccessKind) cpu.Outcome {
 	c := &m.cfg.Costs
 	m.hAccesses.Inc()
 	if kind == addr.Store {
@@ -261,11 +238,6 @@ func (m *PGMachine) slowAccess(va addr.VA, kind addr.AccessKind) cpu.Outcome {
 // rights field or moving it to another page-group. One entry serves all
 // domains, which is what makes all-domain changes cheap (Section 4.1.2).
 func (m *PGMachine) UpdatePage(vpn addr.VPN, aid addr.GroupID, rights addr.Rights) int {
-	// A page's group assignment is shared by every domain, so this
-	// maintenance op can stale verdicts cached under domains other than
-	// the one whose mutation triggered it (whose epoch the kernel bumps).
-	// The machine-local bump orphans those too.
-	m.fp.BumpLocal()
 	pfn, ok := m.os.Translate(vpn)
 	if !ok {
 		// No translation: nothing can be resident.
@@ -304,7 +276,6 @@ func (m *PGMachine) DetachGroup(d addr.DomainID, g addr.GroupID) int {
 // UnmapPage destroys the translation for vpn: the TLB entry is
 // invalidated and the page's cache lines flushed (Section 4.1.3).
 func (m *PGMachine) UnmapPage(vpn addr.VPN) int {
-	m.fp.BumpLocal()
 	c := &m.cfg.Costs
 	n := 0
 	if m.tlb.Invalidate(vpn) {

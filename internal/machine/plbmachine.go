@@ -5,7 +5,6 @@ import (
 	"repro/internal/assoc"
 	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/fastpath"
 	"repro/internal/plb"
 	"repro/internal/stats"
 	"repro/internal/tlb"
@@ -48,7 +47,6 @@ type PLBMachine struct {
 	plb   *plb.PLB
 	tlb   *tlb.TransTLB
 	cache *cache.VirtualCache
-	fp    fastpath.Table[PLBVerdict]
 
 	ctrs   stats.Counters
 	cycles stats.Cycles
@@ -131,33 +129,11 @@ func (m *PLBMachine) SwitchDomain(d addr.DomainID) {
 	m.cycles.Add(m.cfg.Costs.RegisterWrite)
 }
 
-// Access implements Machine: the Figure 1 reference path, fronted by the
-// verdict fast path (which replays warm hits with identical side effects
-// or falls through to the structural path).
+// Access implements Machine: the Figure 1 reference path. The PLB and
+// the VIVT cache are probed in parallel, so a PLB hit adds no latency
+// beyond the cache access; translation happens only on cache misses and
+// dirty writebacks, through the off-critical-path TLB.
 func (m *PLBMachine) Access(va addr.VA, kind addr.AccessKind) cpu.Outcome {
-	if fastpath.Enabled() {
-		if m.fastAccess(va, kind) {
-			return cpu.Outcome{}
-		}
-		before := m.cycles.Total()
-		out := m.slowAccess(va, kind)
-		// Cache a verdict only for pure warm hits (exactly one cache-hit
-		// charge): anything slower touched a miss path whose next access
-		// is not a warm replay, so installing would be wasted churn —
-		// machines that never warm-hit never even allocate a table.
-		if out.Fault == cpu.FaultNone && m.cycles.Total()-before == m.cfg.Costs.CacheHit {
-			m.installVerdict(va)
-		}
-		return out
-	}
-	return m.slowAccess(va, kind)
-}
-
-// slowAccess is the structural Figure 1 reference path. The PLB and the
-// VIVT cache are probed in parallel, so a PLB hit adds no latency beyond
-// the cache access; translation happens only on cache misses and dirty
-// writebacks, through the off-critical-path TLB.
-func (m *PLBMachine) slowAccess(va addr.VA, kind addr.AccessKind) cpu.Outcome {
 	c := &m.cfg.Costs
 	m.hAccesses.Inc()
 	if kind == addr.Store {
@@ -259,11 +235,6 @@ func (m *PLBMachine) UpdateRights(d addr.DomainID, va addr.VA, r addr.Rights) in
 // to pre-load rather than fault-in, and by sub-page experiments that
 // install at non-default shifts).
 func (m *PLBMachine) InstallRights(d addr.DomainID, va addr.VA, shift uint, r addr.Rights) {
-	// An eager insert can add a second entry covering an address a cached
-	// verdict's entry also covers (multi-size configurations), changing
-	// which entry a structural lookup finds first — the one mutation slot
-	// validation cannot see. Orphan the table.
-	m.fp.BumpLocal()
 	m.plb.Insert(d, va, shift, r)
 	m.cycles.Add(m.cfg.Costs.Install)
 	if m.obs != nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/kernel"
-	"repro/internal/machine"
 	"repro/internal/plb"
 	"repro/internal/tlb"
 )
@@ -23,11 +22,6 @@ import (
 //     tagged with its address space, and — on a machine still executing
 //     the dead ID — resident checker groups (a destroyed domain's group
 //     set is empty, so anything resident is stale authority);
-//   - verdict fast path: live cached verdicts for the dead ID on a
-//     machine executing it (entries for other domains, or on machines
-//     running other domains, are dormant by the epoch argument in
-//     verdictcache.go — recycling keeps them dormant forever because the
-//     pooled Domain's protection epoch only grows across incarnations);
 //   - device agents: IOTLB entries keyed by the domain, and the group
 //     membership cache of a device still programmed on its behalf.
 //
@@ -79,17 +73,6 @@ func destroyCPUViolations(k *kernel.Kernel, id addr.DomainID) []Violation {
 				}
 				return true
 			})
-			if m.Domain() == id {
-				m.FastPath().ForEach(func(d addr.DomainID, vpn addr.VPN, v machine.PLBVerdict) bool {
-					if d == id {
-						out = append(out, Violation{
-							Where: "destroy", CPU: i, Domain: id, VPN: vpn,
-							Detail: fmt.Sprintf("live fast-path verdict still caches %v", v.Rights),
-						})
-					}
-					return true
-				})
-			}
 		case k.ConvMachineAt(i) != nil:
 			m := k.ConvMachineAt(i)
 			as := addr.ASID(id)
@@ -102,17 +85,6 @@ func destroyCPUViolations(k *kernel.Kernel, id addr.DomainID) []Violation {
 				}
 				return true
 			})
-			if m.Domain() == id {
-				m.FastPath().ForEach(func(d addr.DomainID, vpn addr.VPN, v machine.ConvVerdict) bool {
-					if d == id {
-						out = append(out, Violation{
-							Where: "destroy", CPU: i, Domain: id, VPN: vpn,
-							Detail: fmt.Sprintf("live fast-path verdict still caches %v", v.Entry.Rights),
-						})
-					}
-					return true
-				})
-			}
 		case k.PGMachineAt(i) != nil:
 			m := k.PGMachineAt(i)
 			if m.Domain() != id {
@@ -123,15 +95,6 @@ func destroyCPUViolations(k *kernel.Kernel, id addr.DomainID) []Violation {
 					out = append(out, Violation{
 						Where: "destroy", CPU: i, Domain: id,
 						Detail: fmt.Sprintf("checker still holds group %d (writeDisable=%v)", g, wd),
-					})
-				}
-				return true
-			})
-			m.FastPath().ForEach(func(d addr.DomainID, vpn addr.VPN, v machine.PGVerdict) bool {
-				if d == id {
-					out = append(out, Violation{
-						Where: "destroy", CPU: i, Domain: id, VPN: vpn,
-						Detail: "live fast-path verdict survives the domain",
 					})
 				}
 				return true

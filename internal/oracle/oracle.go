@@ -42,9 +42,9 @@ const maxSampledPages = 64
 // and the kernel or hardware state.
 type Violation struct {
 	// Where names the structure that disagreed: "resolve", "plb",
-	// "trans-tlb", "pg-tlb", "checker", "asid-tlb", "verdict-cache"
-	// (a live fast-path entry), "directory" (a hardware entry the
-	// sharer directory fails to cover), "verdict", or "iotlb" /
+	// "trans-tlb", "pg-tlb", "checker", "asid-tlb", "directory" (a
+	// hardware entry the sharer directory fails to cover), "verdict",
+	// or "iotlb" /
 	// "iotlb-group" (a device translation agent's cached authority —
 	// see device.go).
 	Where string
@@ -107,9 +107,6 @@ func Rights(k *kernel.Kernel, d *kernel.Domain, vpn addr.VPN) (addr.Rights, bool
 //     TLB entries against the kernel's page records, resident checker
 //     groups against the executing domain's group set, and ASID-TLB
 //     entries against both rights and translation.
-//   - Every live verdict fast-path entry (current epoch stamp, current
-//     domain) must cache exactly the outcome the structural path would
-//     resolve now — see the verdict-cache audit in verdictcache.go.
 //
 // Violations never perturbs protection or translation state and is safe
 // to call mid-run, between any two kernel operations.
@@ -133,15 +130,12 @@ func Violations(k *kernel.Kernel) []Violation {
 		case k.PLBMachineAt(i) != nil:
 			vs = append(vs, plbViolations(k, k.PLBMachineAt(i))...)
 			vs = append(vs, transTLBViolations(k, k.PLBMachineAt(i))...)
-			vs = append(vs, plbVerdictViolations(k, k.PLBMachineAt(i))...)
 			vs = append(vs, plbDirectoryViolations(k, i, k.PLBMachineAt(i))...)
 		case k.PGMachineAt(i) != nil:
 			vs = append(vs, pgViolations(k, k.PGMachineAt(i))...)
-			vs = append(vs, pgVerdictViolations(k, k.PGMachineAt(i))...)
 			vs = append(vs, pgDirectoryViolations(k, i, k.PGMachineAt(i))...)
 		case k.ConvMachineAt(i) != nil:
 			vs = append(vs, convViolations(k, k.ConvMachineAt(i))...)
-			vs = append(vs, convVerdictViolations(k, k.ConvMachineAt(i))...)
 			vs = append(vs, convDirectoryViolations(k, i, k.ConvMachineAt(i))...)
 		}
 		for j := range vs {

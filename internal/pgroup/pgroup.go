@@ -29,10 +29,6 @@ type Checker interface {
 	// whether writes to the group are disabled. Check(GlobalGroup) is
 	// always (true, false).
 	Check(g addr.GroupID) (ok bool, writeDisabled bool)
-	// Peek answers the same question as Check with no counter or
-	// replacement side effects — the validation half of the verdict fast
-	// path (Check is then the replay).
-	Peek(g addr.GroupID) (ok bool, writeDisabled bool)
 	// Load installs group g (after the kernel validates access on a
 	// miss trap).
 	Load(g addr.GroupID, writeDisabled bool)
@@ -112,19 +108,6 @@ func (p *PIDRegisters) Check(g addr.GroupID) (bool, bool) {
 		}
 	}
 	p.nMiss.Inc()
-	return false, false
-}
-
-// Peek implements Checker: Check without side effects.
-func (p *PIDRegisters) Peek(g addr.GroupID) (bool, bool) {
-	if g == addr.GlobalGroup {
-		return true, false
-	}
-	for _, r := range p.regs {
-		if r.valid && r.group == g {
-			return true, r.writeDisable
-		}
-	}
 	return false, false
 }
 
@@ -249,15 +232,6 @@ func (g *GroupCache) Check(gid addr.GroupID) (bool, bool) {
 	}
 	g.nMiss.Inc()
 	return false, false
-}
-
-// Peek implements Checker: Check without side effects.
-func (g *GroupCache) Peek(gid addr.GroupID) (bool, bool) {
-	if gid == addr.GlobalGroup {
-		return true, false
-	}
-	wd, ok := g.c.Peek(gid)
-	return ok, wd
 }
 
 // Load implements Checker.

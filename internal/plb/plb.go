@@ -99,11 +99,6 @@ type PLB struct {
 	nCorrupted                                                  stats.Handle
 
 	corrupt Corruptor
-
-	// lastKey is the key of the most recent Lookup hit or Insert, paired
-	// with the underlying cache's LastSlot — so the verdict fast path can
-	// learn where a structural access's entry lives without re-scanning.
-	lastKey Key
 }
 
 // Corruptor is a chaos-testing hook consulted on every Insert. It sees
@@ -185,7 +180,6 @@ func (p *PLB) Lookup(d addr.DomainID, va addr.VA) (addr.Rights, bool) {
 		k := Key{Domain: d, Page: uint64(va) >> p.shift0, Shift: p.shift0}
 		if r, ok := p.c.Lookup(k); ok {
 			p.nHit.Inc()
-			p.lastKey = k
 			return r, true
 		}
 		p.nMiss.Inc()
@@ -195,49 +189,11 @@ func (p *PLB) Lookup(d addr.DomainID, va addr.VA) (addr.Rights, bool) {
 		k := Key{Domain: d, Page: uint64(va) >> shift, Shift: shift}
 		if r, ok := p.c.Lookup(k); ok {
 			p.nHit.Inc()
-			p.lastKey = k
 			return r, true
 		}
 	}
 	p.nMiss.Inc()
 	return addr.None, false
-}
-
-// LastRef returns the slot and key of the most recent Lookup hit or
-// Insert. The slot may have been evicted or reused since; validate with
-// PeekAt (and check the key still covers the address of interest).
-func (p *PLB) LastRef() (set, way int, k Key) {
-	set, way = p.c.LastSlot()
-	return set, way, p.lastKey
-}
-
-// Probe locates the entry a Lookup for (d, va) would hit — honoring the
-// smaller-page-shadows-larger precedence — with no replacement or counter
-// side effects. It returns the slot, the matched key, and its rights, for
-// later validation with PeekAt and replay with ReplayHit.
-func (p *PLB) Probe(d addr.DomainID, va addr.VA) (set, way int, k Key, r addr.Rights, ok bool) {
-	for _, shift := range p.shifts8 {
-		k = Key{Domain: d, Page: uint64(va) >> shift, Shift: shift}
-		if s, w, found := p.c.Locate(k); found {
-			r, _ = p.c.PeekAt(s, w, k)
-			return s, w, k, r, true
-		}
-	}
-	return 0, 0, Key{}, addr.None, false
-}
-
-// PeekAt returns the rights at the located slot if it still holds a live
-// entry for k, with no side effects — the validation half of the verdict
-// fast path.
-func (p *PLB) PeekAt(set, way int, k Key) (addr.Rights, bool) {
-	return p.c.PeekAt(set, way, k)
-}
-
-// ReplayHit replays the exact side effects of a Lookup hit on the slot
-// located by Probe: the LRU touch and the hit counter.
-func (p *PLB) ReplayHit(set, way int) {
-	p.c.TouchAt(set, way)
-	p.nHit.Inc()
 }
 
 // Insert installs rights for (d, va) at the given protection page shift.
@@ -246,7 +202,6 @@ func (p *PLB) Insert(d addr.DomainID, va addr.VA, shift uint, r addr.Rights) {
 	p.mustShift(shift)
 	k := Key{Domain: d, Page: uint64(va) >> shift, Shift: uint8(shift)}
 	_, _, evicted := p.c.Insert(k, r)
-	p.lastKey = k
 	p.nInstall.Inc()
 	if p.corrupt != nil {
 		if bad, ok := p.corrupt(k, r, evicted); ok {

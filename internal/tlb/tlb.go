@@ -72,29 +72,6 @@ func (t *TransTLB) Lookup(vpn addr.VPN) (TransEntry, bool) {
 	return e, ok
 }
 
-// Probe locates the live entry for vpn with no side effects, for later
-// validation with PeekAt and replay with ReplayHit.
-func (t *TransTLB) Probe(vpn addr.VPN) (set, way int, e TransEntry, ok bool) {
-	set, way, ok = t.c.Locate(vpn)
-	if ok {
-		e, _ = t.c.PeekAt(set, way, vpn)
-	}
-	return set, way, e, ok
-}
-
-// PeekAt returns the entry at the located slot if it still holds vpn,
-// with no side effects.
-func (t *TransTLB) PeekAt(set, way int, vpn addr.VPN) (TransEntry, bool) {
-	return t.c.PeekAt(set, way, vpn)
-}
-
-// ReplayHit replays the exact side effects of a Lookup hit on the slot:
-// the LRU touch and the hit counter.
-func (t *TransTLB) ReplayHit(set, way int) {
-	t.c.TouchAt(set, way)
-	t.nHit.Inc()
-}
-
 // Insert installs a translation.
 func (t *TransTLB) Insert(vpn addr.VPN, e TransEntry) {
 	_, _, evicted := t.c.Insert(vpn, e)
@@ -152,10 +129,6 @@ type ASIDTLB struct {
 	nCorrupted                     stats.Handle
 
 	corrupt func(k ASIDKey, e ASIDEntry, evicted bool) (ASIDEntry, bool)
-
-	// lastKey pairs with the cache's LastSlot: the key of the most recent
-	// Lookup hit or Insert, for O(1) verdict installs.
-	lastKey ASIDKey
 }
 
 // NewASID creates an ASID-tagged TLB counting under prefix.
@@ -188,50 +161,16 @@ func (t *ASIDTLB) Lookup(as addr.ASID, vpn addr.VPN) (ASIDEntry, bool) {
 	e, ok := t.c.Lookup(k)
 	if ok {
 		t.nHit.Inc()
-		t.lastKey = k
 	} else {
 		t.nMiss.Inc()
 	}
 	return e, ok
 }
 
-// LastRef returns the slot and key of the most recent Lookup hit or
-// Insert. The slot may have been evicted or reused since; validate with
-// PeekAt.
-func (t *ASIDTLB) LastRef() (set, way int, k ASIDKey) {
-	set, way = t.c.LastSlot()
-	return set, way, t.lastKey
-}
-
-// Probe locates the live entry for (as, vpn) with no side effects, for
-// later validation with PeekAt and replay with ReplayHit.
-func (t *ASIDTLB) Probe(as addr.ASID, vpn addr.VPN) (set, way int, e ASIDEntry, ok bool) {
-	k := ASIDKey{AS: as, VPN: vpn}
-	set, way, ok = t.c.Locate(k)
-	if ok {
-		e, _ = t.c.PeekAt(set, way, k)
-	}
-	return set, way, e, ok
-}
-
-// PeekAt returns the entry at the located slot if it still holds
-// (as, vpn), with no side effects.
-func (t *ASIDTLB) PeekAt(set, way int, as addr.ASID, vpn addr.VPN) (ASIDEntry, bool) {
-	return t.c.PeekAt(set, way, ASIDKey{AS: as, VPN: vpn})
-}
-
-// ReplayHit replays the exact side effects of a Lookup hit on the slot:
-// the LRU touch and the hit counter.
-func (t *ASIDTLB) ReplayHit(set, way int) {
-	t.c.TouchAt(set, way)
-	t.nHit.Inc()
-}
-
 // Insert installs an entry for (as, vpn).
 func (t *ASIDTLB) Insert(as addr.ASID, vpn addr.VPN, e ASIDEntry) {
 	k := ASIDKey{AS: as, VPN: vpn}
 	_, _, evicted := t.c.Insert(k, e)
-	t.lastKey = k
 	t.nInstall.Inc()
 	if t.corrupt != nil {
 		if bad, ok := t.corrupt(k, e, evicted); ok {
@@ -315,10 +254,6 @@ type PGTLB struct {
 	nCorrupted                                   stats.Handle
 
 	corrupt func(vpn addr.VPN, e PGEntry, evicted bool) (PGEntry, bool)
-
-	// lastVPN pairs with the cache's LastSlot: the key of the most recent
-	// Lookup hit or Insert, for O(1) verdict installs.
-	lastVPN addr.VPN
 }
 
 // NewPG creates a page-group TLB counting under prefix.
@@ -347,48 +282,15 @@ func (t *PGTLB) Lookup(vpn addr.VPN) (PGEntry, bool) {
 	e, ok := t.c.Lookup(vpn)
 	if ok {
 		t.nHit.Inc()
-		t.lastVPN = vpn
 	} else {
 		t.nMiss.Inc()
 	}
 	return e, ok
 }
 
-// LastRef returns the slot and key of the most recent Lookup hit or
-// Insert. The slot may have been evicted or reused since; validate with
-// PeekAt.
-func (t *PGTLB) LastRef() (set, way int, vpn addr.VPN) {
-	set, way = t.c.LastSlot()
-	return set, way, t.lastVPN
-}
-
-// Probe locates the live entry for vpn with no side effects, for later
-// validation with PeekAt and replay with ReplayHit.
-func (t *PGTLB) Probe(vpn addr.VPN) (set, way int, e PGEntry, ok bool) {
-	set, way, ok = t.c.Locate(vpn)
-	if ok {
-		e, _ = t.c.PeekAt(set, way, vpn)
-	}
-	return set, way, e, ok
-}
-
-// PeekAt returns the entry at the located slot if it still holds vpn,
-// with no side effects.
-func (t *PGTLB) PeekAt(set, way int, vpn addr.VPN) (PGEntry, bool) {
-	return t.c.PeekAt(set, way, vpn)
-}
-
-// ReplayHit replays the exact side effects of a Lookup hit on the slot:
-// the LRU touch and the hit counter.
-func (t *PGTLB) ReplayHit(set, way int) {
-	t.c.TouchAt(set, way)
-	t.nHit.Inc()
-}
-
 // Insert installs an entry for vpn.
 func (t *PGTLB) Insert(vpn addr.VPN, e PGEntry) {
 	_, _, evicted := t.c.Insert(vpn, e)
-	t.lastVPN = vpn
 	t.nInstall.Inc()
 	if t.corrupt != nil {
 		if bad, ok := t.corrupt(vpn, e, evicted); ok {
