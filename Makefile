@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race check fmt vet lint bench bench-suite bench-hot bench-smp bench-mesh bench-dev bench-sessions tables bench-report baseline chaos chaos-short
+.PHONY: all build test race check fmt vet lint bench bench-suite bench-hot bench-smp bench-mesh bench-dev bench-sessions tables bench-report baseline chaos chaos-short profile
 
 all: check
 
@@ -95,6 +95,14 @@ bench-sessions:
 
 tables:
 	$(GO) run ./cmd/tablegen -parallel 4
+
+# profile runs one experiment (E=E18 by default) and writes its host CPU
+# profile to $(E).cpu.prof and its end-of-run heap profile to
+# $(E).mem.prof; read them with `go tool pprof -top $(E).cpu.prof`.
+# Profiling never changes simulated cycles or counters.
+E ?= E18
+profile:
+	$(GO) run ./cmd/tablegen -e $(E) -cpuprofile $(E).cpu.prof -memprofile $(E).mem.prof > /dev/null
 
 # bench-report runs the experiment suite on the parallel harness and
 # requires its deterministic surface (simulated cycles and counters) to

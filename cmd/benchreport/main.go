@@ -20,6 +20,7 @@
 //	benchreport -parallel 4 -v
 //	benchreport -o '' -surface run.surface        # write the surface only
 //	benchreport -wall-budget-ms 30000             # suite wall budget
+//	benchreport -o '' -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -31,6 +32,7 @@ import (
 
 	"repro/internal/benchfmt"
 	"repro/internal/core"
+	"repro/internal/profile"
 	"repro/internal/stats"
 )
 
@@ -42,9 +44,19 @@ func main() {
 	verbose := flag.Bool("v", false, "print the per-experiment measurement table")
 	surface := flag.String("surface", "", "write the deterministic surface (sim cycles + counters, no wall/host data) to this path")
 	wallBudget := flag.Float64("wall-budget-ms", 0, "fail if the whole suite's wall time exceeds this many ms (0 = don't gate; set with ~3x headroom, wall time is host noise)")
+	prof := profile.Register()
 	flag.Parse()
 
+	stopProfile, err := prof.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
+		os.Exit(1)
+	}
 	sum := core.RunAll(*par)
+	if err := stopProfile(); err != nil {
+		fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
+		os.Exit(1)
+	}
 	if len(sum.Failures) > 0 {
 		for _, err := range sum.Failures {
 			fmt.Fprintf(os.Stderr, "FAIL %v\n", err)

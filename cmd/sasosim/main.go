@@ -15,6 +15,7 @@
 //	sasosim -workload sessions -sessions 1000000 -fork
 //	sasosim -workload sessions -model page-group -cpus 8 -sessions 50000
 //	sasosim -trace refs.trc -machine flush
+//	sasosim -workload sessions -model page-group -cpuprofile cpu.out
 package main
 
 import (
@@ -30,6 +31,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/netsim"
 	"repro/internal/oracle"
+	"repro/internal/profile"
 	"repro/internal/smp"
 	"repro/internal/trace"
 	"repro/internal/workload/attach"
@@ -74,20 +76,27 @@ func main() {
 	var sess sessOpts
 	flag.IntVar(&sess.sessions, "sessions", 0, "sessions workload: total session create/destroy cycles (0 = workload default)")
 	flag.BoolVar(&sess.fork, "fork", true, "sessions workload: spawn sessions by forking a template domain (copy-on-write overrides); -fork=false creates empty domains and attaches each segment")
+	prof := profile.Register()
 	flag.Parse()
 
-	if *traceFile != "" {
-		if err := replay(*traceFile, *machName); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *workload == "" {
+	if *traceFile == "" && *workload == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := runWorkload(*workload, *model, *cpus, mesh, *incremental, ipi, dev, d, sess); err != nil {
+	stopProfile, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if *traceFile != "" {
+		err = replay(*traceFile, *machName)
+	} else {
+		err = runWorkload(*workload, *model, *cpus, mesh, *incremental, ipi, dev, d, sess)
+	}
+	if perr := stopProfile(); err == nil {
+		err = perr
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -14,6 +14,7 @@
 //	tablegen -parallel 4   # run up to 4 experiments concurrently
 //	tablegen -e E1         # run one experiment
 //	tablegen -list         # list experiments
+//	tablegen -e E18 -cpuprofile cpu.prof -memprofile mem.prof
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/profile"
 )
 
 func main() {
@@ -29,6 +31,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	par := flag.Int("parallel", 0, "experiments to run concurrently (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "report per-experiment wall time and simulated cycles to stderr")
+	prof := profile.Register()
 	flag.Parse()
 
 	if *list {
@@ -48,7 +51,16 @@ func main() {
 		experiments = []core.Experiment{e}
 	}
 
+	stopProfile, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	sum := core.RunExperiments(experiments, *par)
+	if err := stopProfile(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	for _, r := range sum.Results {
 		// Failed experiments still print their header so the table
 		// sequence stays recognizable, but the sweep continues.

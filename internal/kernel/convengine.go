@@ -3,6 +3,7 @@ package kernel
 import (
 	"repro/internal/addr"
 	"repro/internal/smp"
+	"repro/internal/stats"
 )
 
 // convEngine drives the conventional (multiple address space) machine
@@ -13,6 +14,17 @@ import (
 // page, and translation changes must hunt down every space's duplicate.
 type convEngine struct {
 	k *Kernel
+
+	hSlotsAlloc, hSlotsFreed, hPerPageOps stats.Handle
+}
+
+func newConvEngine(k *Kernel) *convEngine {
+	return &convEngine{
+		k:           k,
+		hSlotsAlloc: k.ctrs.Handle("conv.pte_slots_allocated"),
+		hSlotsFreed: k.ctrs.Handle("conv.pte_slots_freed"),
+		hPerPageOps: k.ctrs.Handle("conv.per_page_rights_ops"),
+	}
 }
 
 func (e *convEngine) onCreateSegment(*Segment) error { return nil }
@@ -21,7 +33,7 @@ func (e *convEngine) onCreateSegment(*Segment) error { return nil }
 // kernel also accounts the per-space page-table slots the attachment
 // consumes (the linear-table space waste of Section 3.1).
 func (e *convEngine) onAttach(d *Domain, s *Segment, r addr.Rights) {
-	e.k.ctrs.Add("conv.pte_slots_allocated", s.NumPages())
+	e.hSlotsAlloc.Add(s.NumPages())
 }
 
 // onDetach invalidates the domain's TLB entries across the segment, one
@@ -31,7 +43,7 @@ func (e *convEngine) onDetach(d *Domain, s *Segment) {
 		e.k.convm.InvalidateEntry(addr.ASID(d.ID), s.PageVPN(i))
 		e.k.shootDomain(d, smp.Request{Kind: smp.InvalRights, VPN: s.PageVPN(i)})
 	}
-	e.k.ctrs.Add("conv.pte_slots_freed", s.NumPages())
+	e.hSlotsFreed.Add(s.NumPages())
 }
 
 // setPageRights updates the one resident (ASID, page) entry.
@@ -48,7 +60,7 @@ func (e *convEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) erro
 		e.k.convm.SetRights(addr.ASID(d.ID), s.PageVPN(i), r)
 		e.k.shootDomain(d, smp.Request{Kind: smp.UpdateRights, VPN: s.PageVPN(i), Rights: r})
 	}
-	e.k.ctrs.Add("conv.per_page_rights_ops", s.NumPages())
+	e.hPerPageOps.Add(s.NumPages())
 	return nil
 }
 
@@ -85,7 +97,7 @@ func (e *convEngine) onDestroyDomain(d *Domain) {
 		}
 	}
 	if slots > 0 {
-		e.k.ctrs.Add("conv.pte_slots_freed", slots)
+		e.hSlotsFreed.Add(slots)
 	}
 }
 
@@ -101,6 +113,6 @@ func (e *convEngine) onFork(parent, child *Domain) {
 		}
 	}
 	if slots > 0 {
-		e.k.ctrs.Add("conv.pte_slots_allocated", slots)
+		e.hSlotsAlloc.Add(slots)
 	}
 }

@@ -1,12 +1,15 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/addr"
+	"repro/internal/machine"
 	"repro/internal/smp"
+	"repro/internal/stats"
 )
 
 // engine is the per-model protection policy: it translates the kernel's
@@ -50,7 +53,7 @@ func (k *Kernel) SetPageRights(d *Domain, va addr.VA, r addr.Rights) error {
 		return ErrNoAuthority
 	}
 	k.overridesRW(d).Set(vpn, r)
-	k.ctrs.Inc("kernel.set_page_rights")
+	k.hSetPageRights.Inc()
 	err := k.engine.setPageRights(d, vpn, r)
 	k.flushIPIs()
 	return err
@@ -192,36 +195,101 @@ type pgEngine struct {
 	// sigIndex maps (segment, membership signature) to an existing
 	// derived group, so pages with identical sharing reuse one group.
 	sigIndex map[string]addr.GroupID
-	// derived records each derived group's current membership for
-	// signature validation and detach cleanup.
-	derived map[addr.GroupID]map[addr.DomainID]bool // value: write-disable
-	// derivedSeg maps derived groups to their segment.
-	derivedSeg map[addr.GroupID]addr.SegmentID
-	// derivedPages counts the pages currently parked in each derived
-	// group. When the count drops to zero the group is garbage: its
-	// memberships are revoked and the number returns to the free list
-	// (freeDerived). Without this, a long-lived shared segment leaks one
-	// group per retired sharing pattern — and every long-lived domain's
-	// group set (and so every fork and destroy walking it) grows without
-	// bound under session churn.
-	derivedPages map[addr.GroupID]int
-	// derivedSig caches the signature each group was indexed under at
-	// creation. Membership changes (a member dying, a fork joining)
-	// mean the group can never match a seeker's signature again, so the
-	// change simply un-indexes it via this cache in O(1) — recomputing
-	// and reindexing signatures on every membership change would make
-	// each destroy and fork O(groups × members) in string building.
-	derivedSig map[addr.GroupID]string
+	// derived holds one record per live derived group.
+	derived map[addr.GroupID]*derivedGroup
+	// deadScratch is onDestroySegment's reusable buffer for the dying
+	// segment's derived groups.
+	deadScratch []addr.GroupID
+
+	// Counter handles. Fork and destroy bump the per-group ones once per
+	// group in the domain's set.
+	hGrants, hRevokes, hPageMoves, hForkCopies stats.Handle
+	hClamps, hRecycled, hCreated, hGCed        stats.Handle
 }
 
-func (e *pgEngine) init() {
-	if e.sigIndex == nil {
-		e.sigIndex = make(map[string]addr.GroupID)
-		e.derived = make(map[addr.GroupID]map[addr.DomainID]bool)
-		e.derivedSeg = make(map[addr.GroupID]addr.SegmentID)
-		e.derivedPages = make(map[addr.GroupID]int)
-		e.derivedSig = make(map[addr.GroupID]string)
+func newPGEngine(k *Kernel) *pgEngine {
+	return &pgEngine{
+		k:           k,
+		sigIndex:    make(map[string]addr.GroupID),
+		derived:     make(map[addr.GroupID]*derivedGroup),
+		hGrants:     k.ctrs.Handle("pg.grants"),
+		hRevokes:    k.ctrs.Handle("pg.revokes"),
+		hPageMoves:  k.ctrs.Handle("pg.page_moves"),
+		hForkCopies: k.ctrs.Handle("pg.fork_group_copies"),
+		hClamps:     k.ctrs.Handle("pg.unrepresentable_clamps"),
+		hRecycled:   k.ctrs.Handle("pg.groups_recycled"),
+		hCreated:    k.ctrs.Handle("pg.groups_created"),
+		hGCed:       k.ctrs.Handle("pg.derived_groups_gced"),
 	}
+}
+
+// derivedGroup is the engine's record of one derived group.
+type derivedGroup struct {
+	// seg is the segment whose pages the group holds.
+	seg addr.SegmentID
+	// pages counts the pages currently parked in the group. When the
+	// count drops to zero the group is garbage: its memberships are
+	// revoked and the number returns to the free list (freeDerived).
+	// Without this, a long-lived shared segment leaks one group per
+	// retired sharing pattern — and every long-lived domain's group set
+	// (and so every fork and destroy walking it) grows without bound
+	// under session churn.
+	pages int
+	// sig is the signature the group was indexed under at creation, or
+	// empty once un-indexed (memberless groups are never indexed).
+	// Membership changes (a member dying, a fork joining) mean the group
+	// can never match a seeker's signature again, so the change simply
+	// un-indexes it in O(1) — recomputing and reindexing signatures on
+	// every membership change would make each destroy and fork
+	// O(groups × members) in string building.
+	sig string
+	// members lists the domains holding the group with their
+	// write-disable bits, ascending by ID: revocation walks it in stored
+	// order, so its shootdowns enqueue deterministically without a sort.
+	members []groupMember
+}
+
+// groupMember is one domain's membership in a derived group.
+type groupMember struct {
+	id addr.DomainID
+	wd bool
+}
+
+// memberIndex returns where did sits in the member list, or where it
+// would be inserted, and whether it is present. (A hand-written search:
+// slices.BinarySearchFunc calls its comparator through a function value
+// on every probe, and fork and destroy search once per derived group.)
+func (dg *derivedGroup) memberIndex(did addr.DomainID) (int, bool) {
+	lo, hi := 0, len(dg.members)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if dg.members[h].id < did {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(dg.members) && dg.members[lo].id == did
+}
+
+// addMember records did in the group with write-disable bit wd.
+func (dg *derivedGroup) addMember(did addr.DomainID, wd bool) {
+	i, ok := dg.memberIndex(did)
+	if ok {
+		dg.members[i].wd = wd
+		return
+	}
+	dg.members = slices.Insert(dg.members, i, groupMember{id: did, wd: wd})
+}
+
+// removeMember drops did from the group, reporting whether it was a
+// member.
+func (dg *derivedGroup) removeMember(did addr.DomainID) bool {
+	i, ok := dg.memberIndex(did)
+	if ok {
+		dg.members = slices.Delete(dg.members, i, i+1)
+	}
+	return ok
 }
 
 // unindex drops derived group g from the signature index. Called when
@@ -229,15 +297,14 @@ func (e *pgEngine) init() {
 // index entry could never pass membersMatch, so g just stops being a
 // reuse candidate (seekers mint a fresh group; the page-count GC
 // reclaims this one when its last page leaves).
-func (e *pgEngine) unindex(g addr.GroupID) {
-	sig, ok := e.derivedSig[g]
-	if !ok {
+func (e *pgEngine) unindex(g addr.GroupID, dg *derivedGroup) {
+	if dg.sig == "" {
 		return
 	}
-	if e.sigIndex[sig] == g {
-		delete(e.sigIndex, sig)
+	if e.sigIndex[dg.sig] == g {
+		delete(e.sigIndex, dg.sig)
 	}
-	delete(e.derivedSig, g)
+	dg.sig = ""
 }
 
 // newGroup hands out a page-group number, preferring recycled numbers
@@ -250,7 +317,7 @@ func (e *pgEngine) newGroup() (addr.GroupID, error) {
 	if n := len(e.k.freeGroups); n > 0 {
 		g := e.k.freeGroups[n-1]
 		e.k.freeGroups = e.k.freeGroups[:n-1]
-		e.k.ctrs.Inc("pg.groups_recycled")
+		e.hRecycled.Inc()
 		return g, nil
 	}
 	if e.k.nextGroup == 0 || (e.k.maxGroup != 0 && e.k.nextGroup > e.k.maxGroup) {
@@ -258,12 +325,11 @@ func (e *pgEngine) newGroup() (addr.GroupID, error) {
 	}
 	g := e.k.nextGroup
 	e.k.nextGroup++
-	e.k.ctrs.Inc("pg.groups_created")
+	e.hCreated.Inc()
 	return g, nil
 }
 
 func (e *pgEngine) onCreateSegment(s *Segment) error {
-	e.init()
 	g, err := e.newGroup()
 	if err != nil {
 		return err
@@ -276,22 +342,34 @@ func (e *pgEngine) onCreateSegment(s *Segment) error {
 // grant adds g to d's group set with the given write-disable bit, syncing
 // the machine's checker if d is executing.
 func (e *pgEngine) grant(d *Domain, g addr.GroupID, wd bool) {
-	if cur, ok := d.groups[g]; ok && cur == wd {
+	i, ok := d.groupIndex(g)
+	switch {
+	case !ok:
+		d.groups = slices.Insert(d.groups, i, machine.GroupAccess{Group: g, WriteDisable: wd})
+	case d.groups[i].WriteDisable == wd:
 		return
+	default:
+		d.groups[i].WriteDisable = wd
 	}
-	d.ensureGroups()[g] = wd
-	e.k.ctrs.Inc("pg.grants")
+	e.hGrants.Inc()
 	e.k.pgm.AttachGroup(d.ID, g, wd)
 	e.k.shootExecuting(d, smp.Request{Kind: smp.GroupLoad, Group: g, WD: wd})
 }
 
 // revoke removes g from d's group set.
 func (e *pgEngine) revoke(d *Domain, g addr.GroupID) {
-	if _, ok := d.groups[g]; !ok {
+	i, ok := d.groupIndex(g)
+	if !ok {
 		return
 	}
-	delete(d.groups, g)
-	e.k.ctrs.Inc("pg.revokes")
+	d.groups = slices.Delete(d.groups, i, i+1)
+	e.withdraw(d, g)
+}
+
+// withdraw purges g, which just left d's group set, from the local
+// checker and from every remote seat executing d.
+func (e *pgEngine) withdraw(d *Domain, g addr.GroupID) {
+	e.hRevokes.Inc()
 	e.k.pgm.DetachGroup(d.ID, g)
 	e.k.shootExecuting(d, smp.Request{Kind: smp.GroupRevoke, Group: g})
 }
@@ -302,13 +380,12 @@ func (e *pgEngine) revoke(d *Domain, g addr.GroupID) {
 // (Table 1 "Restrict Access": "mark the page-group read-only to the
 // application") and never requires touching the per-page TLB entries.
 func (e *pgEngine) recomputePrimary(s *Segment) {
-	e.init()
 	union := addr.None
 	for _, r := range s.attached {
 		union |= r
 	}
 	field := s.groupRights | union
-	for _, did := range sortedAttached(s) {
+	for _, did := range e.k.sortedAttached(s) {
 		r := s.attached[did]
 		d := e.k.doms.get(did)
 		if d == nil {
@@ -327,7 +404,7 @@ func (e *pgEngine) recomputePrimary(s *Segment) {
 		case field.WithoutWrite():
 			wd = field&addr.Write != 0
 		default:
-			e.k.ctrs.Inc("pg.unrepresentable_clamps")
+			e.hClamps.Inc()
 			wd = field&addr.Write != 0 && r&addr.Write == 0
 		}
 		e.grant(d, s.group, wd)
@@ -348,15 +425,18 @@ func (e *pgEngine) recomputePrimary(s *Segment) {
 	}
 }
 
-// sortedAttached returns the segment's attached domain IDs ascending —
-// shootdown-enqueueing loops iterate it instead of the map so IPI order
-// (and with it chaos fault injection) is deterministic.
-func sortedAttached(s *Segment) []addr.DomainID {
-	ids := make([]addr.DomainID, 0, len(s.attached))
+// sortedAttached fills the kernel's scratch buffer with the segment's
+// attached domain IDs ascending — shootdown-enqueueing loops iterate it
+// instead of the map so IPI order (and with it chaos fault injection)
+// is deterministic. The returned slice is only valid until the next
+// call.
+func (k *Kernel) sortedAttached(s *Segment) []addr.DomainID {
+	ids := k.didScratch[:0]
 	for did := range s.attached {
 		ids = append(ids, did)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	k.didScratch = ids
 	return ids
 }
 
@@ -368,12 +448,11 @@ func (e *pgEngine) segPages(s *Segment) []addr.VPN {
 	for vpn := range s.pageRecs {
 		vpns = append(vpns, vpn)
 	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
+	slices.Sort(vpns)
 	return vpns
 }
 
 func (e *pgEngine) onAttach(d *Domain, s *Segment, r addr.Rights) {
-	e.init()
 	// Representability: r must be the (new) union or the union without
 	// write; otherwise the page-group model clamps the odd domain (the
 	// model's expressiveness limit, Section 4.1.2).
@@ -382,13 +461,12 @@ func (e *pgEngine) onAttach(d *Domain, s *Segment, r addr.Rights) {
 		union |= rr
 	}
 	if r != addr.None && r != union && r != union.WithoutWrite() {
-		e.k.ctrs.Inc("pg.unrepresentable_clamps")
+		e.hClamps.Inc()
 	}
 	e.resyncSegment(s)
 }
 
 func (e *pgEngine) onDetach(d *Domain, s *Segment) {
-	e.init()
 	// Remove the primary group from the domain's set and purge it from
 	// the checker: one operation, no scan (Table 1, row 2).
 	e.revoke(d, s.group)
@@ -409,7 +487,7 @@ func (e *pgEngine) resyncSegment(s *Segment) {
 				// Unrepresentable vector (or a group namespace drained to
 				// empty) during a void-returning resync: clamp by leaving
 				// the page where it is and counting.
-				e.k.ctrs.Inc("pg.unrepresentable_clamps")
+				e.hClamps.Inc()
 			}
 		}
 	}
@@ -439,7 +517,6 @@ func (e *pgEngine) desiredVector(p *page, vpn addr.VPN) map[addr.DomainID]addr.R
 // vector: group membership = domains with access; rights field = union;
 // write-disable for members that may not write (Section 4.1.2).
 func (e *pgEngine) regroup(vpn addr.VPN, p *page) error {
-	e.init()
 	desired := e.desiredVector(p, vpn)
 
 	// No domain may access the page: park it in a fresh memberless group.
@@ -448,8 +525,7 @@ func (e *pgEngine) regroup(vpn addr.VPN, p *page) error {
 		if err != nil {
 			return err
 		}
-		e.derived[g] = map[addr.DomainID]bool{}
-		e.derivedSeg[g] = p.seg.ID
+		e.derived[g] = &derivedGroup{seg: p.seg.ID}
 		e.movePage(vpn, p, g, addr.None)
 		return nil
 	}
@@ -490,21 +566,16 @@ func (e *pgEngine) regroup(vpn addr.VPN, p *page) error {
 	if err != nil {
 		return err
 	}
-	mids := make([]addr.DomainID, 0, len(wd))
-	for did := range wd {
-		mids = append(mids, did)
+	dg := &derivedGroup{seg: p.seg.ID, sig: sig, members: make([]groupMember, 0, len(wd))}
+	for did, w := range wd {
+		dg.members = append(dg.members, groupMember{id: did, wd: w})
 	}
-	sort.Slice(mids, func(i, j int) bool { return mids[i] < mids[j] })
-	members := make(map[addr.DomainID]bool, len(wd))
-	for _, did := range mids {
-		w := wd[did]
-		members[did] = w
-		e.grant(e.k.doms.get(did), g, w)
+	slices.SortFunc(dg.members, func(a, b groupMember) int { return cmp.Compare(a.id, b.id) })
+	for _, m := range dg.members {
+		e.grant(e.k.doms.get(m.id), g, m.wd)
 	}
-	e.derived[g] = members
-	e.derivedSeg[g] = p.seg.ID
+	e.derived[g] = dg
 	e.sigIndex[sig] = g
-	e.derivedSig[g] = sig
 	e.movePage(vpn, p, g, union)
 	return nil
 }
@@ -541,13 +612,12 @@ func (e *pgEngine) matchesPrimary(s *Segment, desired map[addr.DomainID]addr.Rig
 }
 
 func (e *pgEngine) membersMatch(g addr.GroupID, wd map[addr.DomainID]bool) bool {
-	members, ok := e.derived[g]
-	if !ok || len(members) != len(wd) {
+	dg := e.derived[g]
+	if dg == nil || len(dg.members) != len(wd) {
 		return false
 	}
-	for did, w := range wd {
-		mw, ok := members[did]
-		if !ok || mw != w {
+	for _, m := range dg.members {
+		if w, ok := wd[m.id]; !ok || w != m.wd {
 			return false
 		}
 	}
@@ -559,7 +629,7 @@ func (e *pgEngine) signature(seg addr.SegmentID, wd map[addr.DomainID]bool) stri
 	for did := range wd {
 		ids = append(ids, did)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	var b strings.Builder
 	fmt.Fprintf(&b, "s%d:", seg)
 	for _, did := range ids {
@@ -579,9 +649,9 @@ func (e *pgEngine) movePage(vpn addr.VPN, p *page, g addr.GroupID, rights addr.R
 	}
 	old := p.group
 	if old != g {
-		e.k.ctrs.Inc("pg.page_moves")
-		if _, ok := e.derived[g]; ok {
-			e.derivedPages[g]++
+		e.hPageMoves.Inc()
+		if dg := e.derived[g]; dg != nil {
+			dg.pages++
 		}
 	}
 	p.group = g
@@ -591,44 +661,38 @@ func (e *pgEngine) movePage(vpn addr.VPN, p *page, g addr.GroupID, rights addr.R
 	// Collect the vacated group after the page is re-homed, so the
 	// revocation shootdowns queue behind this page's update.
 	if old != g {
-		if n, ok := e.derivedPages[old]; ok {
-			if n <= 1 {
-				e.freeDerived(old)
+		if dg := e.derived[old]; dg != nil && dg.pages > 0 {
+			if dg.pages == 1 {
+				e.freeDerived(old, dg)
 			} else {
-				e.derivedPages[old] = n - 1
+				dg.pages--
 			}
 		}
 	}
 }
 
-// freeDerived retires a derived group that no longer holds any page:
+// freeDerived retires derived group g, which no longer holds any page:
 // every remaining membership is revoked (so the number cannot match in
 // any checker once recycled) and the number returns to the free list.
 // This is the group-number garbage collection that keeps a long-lived
 // segment's group population proportional to its parked pages, not to
 // its history of sharing patterns.
-func (e *pgEngine) freeDerived(g addr.GroupID) {
-	members, ok := e.derived[g]
-	if !ok {
-		return
-	}
-	e.unindex(g)
-	mids := make([]addr.DomainID, 0, len(members))
-	for did := range members {
-		mids = append(mids, did)
-	}
-	sort.Slice(mids, func(i, j int) bool { return mids[i] < mids[j] })
-	for _, did := range mids {
-		if d := e.k.doms.get(did); d != nil {
+func (e *pgEngine) freeDerived(g addr.GroupID, dg *derivedGroup) {
+	e.retire(g, dg)
+	e.k.freeGroups = append(e.k.freeGroups, g)
+	e.hGCed.Inc()
+}
+
+// retire un-indexes derived group g, revokes it from every member in
+// stored (ascending ID) order and drops its record.
+func (e *pgEngine) retire(g addr.GroupID, dg *derivedGroup) {
+	e.unindex(g, dg)
+	for _, m := range dg.members {
+		if d := e.k.doms.get(m.id); d != nil {
 			e.revoke(d, g)
 		}
 	}
 	delete(e.derived, g)
-	delete(e.derivedSeg, g)
-	delete(e.derivedPages, g)
-	delete(e.derivedSig, g)
-	e.k.freeGroups = append(e.k.freeGroups, g)
-	e.k.ctrs.Inc("pg.derived_groups_gced")
 }
 
 func (e *pgEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
@@ -640,7 +704,6 @@ func (e *pgEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
 }
 
 func (e *pgEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
-	e.init()
 	// Pages that moved to derived groups have their own vectors; the
 	// segment-wide change alters the domain's contribution to each, so
 	// they must be re-derived individually.
@@ -662,70 +725,37 @@ func (e *pgEngine) onUnmap(vpn addr.VPN) {
 // only point where a group is provably memberless and pageless, which
 // makes it the safe recycling point for the architectural namespace.
 func (e *pgEngine) onDestroySegment(s *Segment) {
-	e.init()
-	dead := make([]addr.GroupID, 0)
-	for g, seg := range e.derivedSeg {
-		if seg == s.ID {
+	dead := e.deadScratch[:0]
+	for g, dg := range e.derived {
+		if dg.seg == s.ID {
 			dead = append(dead, g)
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
+	slices.Sort(dead)
 	for _, g := range dead {
-		e.unindex(g)
-		members := e.derived[g]
-		mids := make([]addr.DomainID, 0, len(members))
-		for did := range members {
-			mids = append(mids, did)
-		}
-		sort.Slice(mids, func(i, j int) bool { return mids[i] < mids[j] })
-		for _, did := range mids {
-			if d := e.k.doms.get(did); d != nil {
-				e.revoke(d, g)
-			}
-		}
-		delete(e.derived, g)
-		delete(e.derivedSeg, g)
-		delete(e.derivedPages, g)
+		e.retire(g, e.derived[g])
 	}
 	e.k.freeGroups = append(e.k.freeGroups, s.group)
 	e.k.freeGroups = append(e.k.freeGroups, dead...)
+	e.deadScratch = dead
 }
 
-// onDestroyDomain strips the dying domain out of the page-group world:
-// every group it holds is revoked (local checker detach plus GroupRevoke
-// to CPUs and device seats executing on its behalf), and derived-group
-// memberships naming it are scrubbed with signature reindexing — once
-// the ID is recycled, a membership naming the dead incarnation would
-// hand the new domain someone else's authority via signature reuse.
+// onDestroyDomain strips the dying domain out of the page-group world in
+// one ascending walk of its group set: each group is withdrawn (local
+// checker detach plus GroupRevoke to CPUs and device seats executing on
+// its behalf), and a derived group naming it drops the membership and
+// its signature index — once the ID is recycled, a membership naming
+// the dead incarnation would hand the new domain someone else's
+// authority via signature reuse. The set is truncated, not freed, so
+// the pooled Domain's next incarnation reuses its capacity.
 func (e *pgEngine) onDestroyDomain(d *Domain) {
-	e.init()
-	if len(d.groups) == 0 {
-		return
+	for _, ga := range d.groups {
+		if dg := e.derived[ga.Group]; dg != nil && dg.removeMember(d.ID) {
+			e.unindex(ga.Group, dg)
+		}
+		e.withdraw(d, ga.Group)
 	}
-	gs := make([]addr.GroupID, 0, len(d.groups))
-	for g := range d.groups {
-		gs = append(gs, g)
-	}
-	sort.Slice(gs, func(i, j int) bool { return gs[i] < gs[j] })
-	for _, g := range gs {
-		e.dropDerivedMember(g, d.ID)
-		e.revoke(d, g)
-	}
-}
-
-// dropDerivedMember removes did from derived group g's membership and
-// un-indexes the now-stale signature, so a later regroup can never hand
-// a recycled DomainID the dead incarnation's membership.
-func (e *pgEngine) dropDerivedMember(g addr.GroupID, did addr.DomainID) {
-	members, ok := e.derived[g]
-	if !ok {
-		return
-	}
-	if _, ok := members[did]; !ok {
-		return
-	}
-	e.unindex(g)
-	delete(members, did)
+	d.groups = d.groups[:0]
 }
 
 // onFork copies the parent's group set to the child — membership is the
@@ -736,23 +766,15 @@ func (e *pgEngine) dropDerivedMember(g addr.GroupID, did addr.DomainID) {
 // grow the child with the parent's write-disable bit, un-indexing each
 // grown group's creation-time signature.
 func (e *pgEngine) onFork(parent, child *Domain) {
-	e.init()
 	if len(parent.groups) == 0 {
 		return
 	}
-	gs := make([]addr.GroupID, 0, len(parent.groups))
-	for g := range parent.groups {
-		gs = append(gs, g)
-	}
-	sort.Slice(gs, func(i, j int) bool { return gs[i] < gs[j] })
-	cg := child.ensureGroups()
-	for _, g := range gs {
-		wd := parent.groups[g]
-		cg[g] = wd
-		if members, ok := e.derived[g]; ok {
-			e.unindex(g)
-			members[child.ID] = wd
+	child.groups = append(child.groups[:0], parent.groups...)
+	for _, ga := range parent.groups {
+		if dg := e.derived[ga.Group]; dg != nil {
+			e.unindex(ga.Group, dg)
+			dg.addMember(child.ID, ga.WriteDisable)
 		}
 	}
-	e.k.ctrs.Add("pg.fork_group_copies", uint64(len(gs)))
+	e.hForkCopies.Add(uint64(len(parent.groups)))
 }

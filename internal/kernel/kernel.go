@@ -15,6 +15,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/addr"
@@ -226,7 +227,7 @@ func (s *Segment) AttachedDomains() []addr.DomainID {
 	for d := range s.attached {
 		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -240,16 +241,20 @@ type Domain struct {
 	// attached, overrides and groups are lazily initialized: an empty
 	// domain is a near-zero-allocation object (the multi-tenant churn
 	// target creates and destroys millions of them). Reads tolerate nil
-	// (nil map reads and nil-receiver ProtTable queries are empty);
-	// writers go through ensureAttached/ensureGroups/overridesRW.
+	// (nil map reads, nil slices and nil-receiver ProtTable queries are
+	// empty); writers go through ensureAttached/overridesRW, or append
+	// to groups.
 	attached map[addr.SegmentID]addr.Rights
 	// overrides may be shared copy-on-write with fork relatives
 	// (ForkDomain); the table's own referent count decides whether a
 	// mutation must clone first (overridesRW).
 	overrides *ptable.ProtTable
-	// groups is the domain's page-group set (page-group model): the
-	// authoritative record behind the PID registers / group cache.
-	groups map[addr.GroupID]bool // value: write-disable
+	// groups is the domain's page-group set (page-group model), kept
+	// ascending by group: the authoritative record behind the PID
+	// registers / group cache. Fork copies it and destroy walks it in
+	// order, so neither sorts; destroy truncates it, and the pooled
+	// struct's next incarnation reuses the capacity.
+	groups []machine.GroupAccess
 	// execSite is the domain's current execution address, for
 	// execution-keyed protection (see exec.go).
 	execSite addr.VA
@@ -280,13 +285,21 @@ func (d *Domain) ensureAttached() map[addr.SegmentID]addr.Rights {
 	return d.attached
 }
 
-// ensureGroups returns the domain's group set, materializing it on
-// first use.
-func (d *Domain) ensureGroups() map[addr.GroupID]bool {
-	if d.groups == nil {
-		d.groups = make(map[addr.GroupID]bool, 4)
+// groupIndex returns where g sits in d's group set, or where it would
+// be inserted, and whether it is present. It is on the page-group
+// checker's miss path (DomainGroup), hence hand-written like
+// derivedGroup.memberIndex.
+func (d *Domain) groupIndex(g addr.GroupID) (int, bool) {
+	lo, hi := 0, len(d.groups)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if d.groups[h].Group < g {
+			lo = h + 1
+		} else {
+			hi = h
+		}
 	}
-	return d.groups
+	return lo, lo < len(d.groups) && d.groups[lo].Group == g
 }
 
 // overridesRW returns d's override table ready for mutation: a missing
@@ -399,6 +412,9 @@ type kernel struct {
 	// kernel is single-threaded per instance, so one buffer suffices; it
 	// keeps a destroy cycle from allocating under session churn.
 	sidScratch []addr.SegmentID
+	// didScratch is the same for walks over a segment's attached
+	// domains (sortedAttached).
+	didScratch []addr.DomainID
 	// residentFIFO orders mapped pages for the page daemon's FIFO
 	// eviction; entries may be stale (skipped when popped).
 	residentFIFO []addr.VPN
@@ -424,6 +440,11 @@ type kernel struct {
 	// so the million-session workloads never hash a counter name.
 	hDomainsCreated, hDomainsDestroyed stats.Handle
 	hDomainsForked, hDomainsRecycled   stats.Handle
+	// Segment and attachment bookkeeping handles. The engines resolve
+	// their own counters (newPGEngine, newConvEngine).
+	hSetPageRights, hAttach, hDetach stats.Handle
+	hSegsCreated, hSegsDestroyed     stats.Handle
+	hVAReuse                         stats.Handle
 }
 
 // page is the kernel's per-page record, created lazily.
@@ -589,6 +610,12 @@ func NewChecked(cfg Config) (*Kernel, error) {
 	k.hDomainsDestroyed = k.ctrs.Handle("kernel.domains_destroyed")
 	k.hDomainsForked = k.ctrs.Handle("kernel.domains_forked")
 	k.hDomainsRecycled = k.ctrs.Handle("kernel.domain_ids_recycled")
+	k.hSetPageRights = k.ctrs.Handle("kernel.set_page_rights")
+	k.hAttach = k.ctrs.Handle("kernel.attach")
+	k.hDetach = k.ctrs.Handle("kernel.detach")
+	k.hSegsCreated = k.ctrs.Handle("kernel.segments_created")
+	k.hSegsDestroyed = k.ctrs.Handle("kernel.segments_destroyed")
+	k.hVAReuse = k.ctrs.Handle("kernel.va_reuse")
 	for i := 0; i < cfg.CPUs; i++ {
 		switch cfg.Model {
 		case ModelPageGroup:
@@ -614,9 +641,9 @@ func NewChecked(cfg Config) (*Kernel, error) {
 	}
 	switch cfg.Model {
 	case ModelPageGroup:
-		k.engine = &pgEngine{k: k}
+		k.engine = newPGEngine(k)
 	case ModelConventional, ModelFlush:
-		k.engine = &convEngine{k: k}
+		k.engine = newConvEngine(k)
 	default:
 		k.engine = &dpEngine{k: k}
 	}
@@ -898,7 +925,7 @@ func (k *Kernel) CreateSegmentChecked(npages uint64, opts SegmentOptions) (*Segm
 	k.segOrder = append(k.segOrder, nil)
 	copy(k.segOrder[i+1:], k.segOrder[i:])
 	k.segOrder[i] = s
-	k.ctrs.Inc("kernel.segments_created")
+	k.hSegsCreated.Inc()
 	return s, nil
 }
 
@@ -1146,7 +1173,7 @@ func (k *Kernel) pageRecord(vpn addr.VPN) *page {
 func (k *Kernel) Attach(d *Domain, s *Segment, r addr.Rights) {
 	d.ensureAttached()[s.ID] = r
 	s.attached[d.ID] = r
-	k.ctrs.Inc("kernel.attach")
+	k.hAttach.Inc()
 	k.engine.onAttach(d, s, r)
 	k.flushIPIs()
 }
@@ -1163,7 +1190,7 @@ func (k *Kernel) Detach(d *Domain, s *Segment) error {
 		startVPN := k.geo.PageNumber(s.Range.Start)
 		k.overridesRW(d).ClearRange(startVPN, s.NumPages())
 	}
-	k.ctrs.Inc("kernel.detach")
+	k.hDetach.Inc()
 	k.engine.onDetach(d, s)
 	k.flushIPIs()
 	return nil
@@ -1241,8 +1268,11 @@ func (k *Kernel) DomainGroup(d addr.DomainID, g addr.GroupID) (bool, bool) {
 	if dom == nil {
 		return false, false
 	}
-	wd, ok := dom.groups[g]
-	return ok, wd
+	i, ok := dom.groupIndex(g)
+	if !ok {
+		return false, false
+	}
+	return true, dom.groups[i].WriteDisable
 }
 
 // plbSupportsShift reports whether the PLB configuration lists the shift.
@@ -1275,18 +1305,15 @@ func (k *Kernel) ProtShift(d addr.DomainID, vpn addr.VPN) uint {
 	return s.protShift
 }
 
-// DomainGroups implements machine.OS.
+// DomainGroups implements machine.OS. It returns d's group set itself,
+// ascending by group, with no sort and no copy: callers may not keep or
+// modify it (PGMachine.SwitchDomain reads it immediately).
 func (k *Kernel) DomainGroups(d addr.DomainID) []machine.GroupAccess {
 	dom := k.doms.get(d)
 	if dom == nil {
 		return nil
 	}
-	out := make([]machine.GroupAccess, 0, len(dom.groups))
-	for g, wd := range dom.groups {
-		out = append(out, machine.GroupAccess{Group: g, WriteDisable: wd})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Group < out[j].Group })
-	return out
+	return dom.groups
 }
 
 // Walk implements machine.MultiOS for ModelConventional: the per-space

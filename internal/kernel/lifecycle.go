@@ -170,9 +170,6 @@ func (k *Kernel) DestroyDomain(d *Domain) error {
 		}
 		clear(d.attached)
 	}
-	if len(d.groups) > 0 {
-		clear(d.groups)
-	}
 	d.overrides.Release()
 	d.overrides = nil
 	d.execSite = 0

@@ -39,6 +39,16 @@ func lifecycleScript(model kernel.Model, raw []byte) error {
 	destroyed := 0
 	dynSeg := 0
 
+	// auditGroups checks the page-group engine's own bookkeeping (sorted
+	// group sets, derived-group membership, free list); the oracle
+	// checks only hardware against authority.
+	auditGroups := func() error {
+		if model != kernel.ModelPageGroup {
+			return nil
+		}
+		return kernel.AuditPageGroups(k)
+	}
+
 	destroy := func(i int) error {
 		d := live[i]
 		id := d.ID
@@ -135,11 +145,17 @@ func lifecycleScript(model kernel.Model, raw []byte) error {
 				}
 			}
 		}
+		if err := auditGroups(); err != nil {
+			return fmt.Errorf("after op %d (%d, %d): %w", i/2, op%8, arg, err)
+		}
 	}
 
 	for len(live) > 0 {
 		if err := destroy(len(live) - 1); err != nil {
 			return err
+		}
+		if err := auditGroups(); err != nil {
+			return fmt.Errorf("after drain destroy: %w", err)
 		}
 	}
 	if n := k.LiveDomains(); n != 0 {
@@ -151,12 +167,27 @@ func lifecycleScript(model kernel.Model, raw []byte) error {
 	return nil
 }
 
+// lifecycleSeeds are fixed scripts every model runs before the random
+// ones, covering shapes random scripts rarely reach.
+var lifecycleSeeds = [][]byte{
+	// Add a third segment, so segment and rights choices decouple. A
+	// domain attached RW touches page 6 and overrides it to Read, which
+	// parks the page in a derived group under page-group. It then forks:
+	// the child must join the derived group. Both then die.
+	{7, 1, 0, 0, 2, 3, 3, 6, 4, 6, 1, 0, 6, 0},
+}
+
 func TestLifecycleQuick(t *testing.T) {
 	for _, model := range []kernel.Model{
 		kernel.ModelDomainPage, kernel.ModelPageGroup,
 		kernel.ModelConventional, kernel.ModelFlush,
 	} {
 		t.Run(model.String(), func(t *testing.T) {
+			for _, raw := range lifecycleSeeds {
+				if err := lifecycleScript(model, raw); err != nil {
+					t.Errorf("seed script %x: %v", raw, err)
+				}
+			}
 			prop := func(raw []byte) bool {
 				if err := lifecycleScript(model, raw); err != nil {
 					t.Logf("script %x: %v", raw, err)

@@ -44,7 +44,7 @@ func (k *Kernel) allocVA(length uint64, alignShift uint) addr.VA {
 		if tail := uint64(f.End()) - (start + length); tail > 0 {
 			k.freeVAInsert(addr.Range{Start: addr.VA(start + length), Length: tail})
 		}
-		k.ctrs.Inc("kernel.va_reuse")
+		k.hVAReuse.Inc()
 		return addr.VA(start)
 	}
 	// Bump allocation.
@@ -119,6 +119,6 @@ func (k *Kernel) DestroySegment(s *Segment) error {
 	}
 	s.pageRecs = nil
 	k.freeVAInsert(s.Range)
-	k.ctrs.Inc("kernel.segments_destroyed")
+	k.hSegsDestroyed.Inc()
 	return nil
 }

@@ -614,7 +614,7 @@ func (s *Shootdown) Rejoin(t int) {
 // about to bulk-invalidate t's structures, so in-flight invalidations
 // for it are moot).
 func (s *Shootdown) DropPending(t int) {
-	s.queue[t] = nil
+	s.queue[t] = s.queue[t][:0]
 	s.delayed[t] = nil
 	for k := range s.pend[t] {
 		delete(s.pend[t], k)
@@ -658,10 +658,21 @@ func (s *Shootdown) Pending(target int) int {
 // exponential backoff and quarantines targets that exhaust the budget.
 func (s *Shootdown) Flush() {
 	for t := 0; t < len(s.queue); t++ {
+		batch := s.takeBatch(t)
+		if len(batch) == 0 {
+			continue
+		}
 		if s.proto != nil {
-			s.flushAcked(t)
+			s.flushAcked(t, batch)
 		} else {
-			s.flushFireAndForget(t)
+			s.flushFireAndForget(t, batch)
+		}
+		// The delivered batch's buffer becomes t's empty queue, so a
+		// steady stream of flushes reuses one buffer per target rather
+		// than allocating one per flush. Delivery enqueues nothing for
+		// t; were it to, that newer queue is kept instead.
+		if s.queue[t] == nil {
+			s.queue[t] = batch[:0]
 		}
 	}
 }
@@ -742,11 +753,7 @@ func (s *Shootdown) chargeMemHops(t int, r Request) {
 // the target — a fully dropped batch is a lost interrupt, the target
 // never traps, and a delayed-then-delivered request pays its IPI at
 // the flush that delivers it, never twice.
-func (s *Shootdown) flushFireAndForget(t int) {
-	batch := s.takeBatch(t)
-	if len(batch) == 0 {
-		return
-	}
+func (s *Shootdown) flushFireAndForget(t int, batch []Request) {
 	arrived := false
 	start := s.handler.CPUCycles(t)
 	for _, r := range batch {
@@ -799,11 +806,7 @@ type ackedReq struct {
 // and quarantine when the retry budget runs out. The loop always
 // terminates within MaxRetries+1 volleys: every request is either
 // acknowledged or the target is quarantined.
-func (s *Shootdown) flushAcked(t int) {
-	batch := s.takeBatch(t)
-	if len(batch) == 0 {
-		return
-	}
+func (s *Shootdown) flushAcked(t int, batch []Request) {
 	if s.Fenced(t) {
 		// The kernel normally skips fenced targets before enqueueing;
 		// anything that slips through is discarded and the target
@@ -947,7 +950,7 @@ func (s *Shootdown) quarantine(t, dropped int) {
 // proved persistently unresponsive stays on flush-on-switch semantics.
 func (s *Shootdown) Reset() {
 	for t := 0; t < len(s.queue); t++ {
-		s.queue[t] = nil
+		s.queue[t] = s.queue[t][:0]
 		s.delayed[t] = nil
 		for k := range s.pend[t] {
 			delete(s.pend[t], k)
