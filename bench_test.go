@@ -134,6 +134,49 @@ func BenchmarkPGMachineAccessWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkConventionalMachineAccessRefill is a conventional TLB refill
+// that evicts on every reference (newConvRefillStep).
+func BenchmarkConventionalMachineAccessRefill(b *testing.B) {
+	_, step := newConvRefillStep()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := step(); !out.OK() {
+			b.Fatal("fault on refill access")
+		}
+	}
+}
+
+// BenchmarkFlushMachineAccessSwitch is the flush machine's
+// switch-purge-refill cycle (newFlushSwitchStep).
+func BenchmarkFlushMachineAccessSwitch(b *testing.B) {
+	_, step := newFlushSwitchStep()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := step(); !out.OK() {
+			b.Fatal("fault on flush-machine access")
+		}
+	}
+}
+
+// BenchmarkKernelLoadStoreAccess is kernel.Load/Store with domain
+// switches under each organization (newKernelAccessStep).
+func BenchmarkKernelLoadStoreAccess(b *testing.B) {
+	for _, model := range accessModels {
+		b.Run(model.String(), func(b *testing.B) {
+			step := newKernelAccessStep(b, model)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkDomainSwitch(b *testing.B) {
 	for _, mk := range []struct {
 		name string

@@ -2,7 +2,9 @@
 // experiment under every fault scenario, with the shadow protection
 // oracle verifying each surviving kernel after hardware recovery.
 // The same seed reproduces a byte-identical report. Exits nonzero if
-// the campaign breaks the robustness contract.
+// the campaign breaks the robustness contract. -cpuprofile and
+// -memprofile write host profiles of the campaign without changing the
+// report.
 package main
 
 import (
@@ -11,6 +13,7 @@ import (
 	"os"
 
 	"repro/internal/chaos"
+	"repro/internal/profile"
 )
 
 func main() {
@@ -18,6 +21,7 @@ func main() {
 	short := flag.Bool("short", false, "run the CI subset of experiments")
 	list := flag.Bool("list", false, "list fault scenarios and exit")
 	out := flag.String("o", "", "write the report to a file instead of stdout")
+	prof := profile.Register()
 	flag.Parse()
 
 	if *list {
@@ -31,7 +35,16 @@ func main() {
 		return
 	}
 
+	stopProfile, err := prof.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
+		os.Exit(1)
+	}
 	res := chaos.Run(chaos.Config{Seed: *seed, Short: *short})
+	if err := stopProfile(); err != nil {
+		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
+		os.Exit(1)
+	}
 	report := res.Report()
 	if *out != "" {
 		if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {

@@ -9,14 +9,26 @@
 // operations single address space kernels need (e.g. purging one domain's
 // or one segment's entries from a PLB on detach).
 //
-// Two implementation details keep the simulator's hot paths cheap without
-// changing observable behavior:
+// Three implementation details keep the simulator's hot paths cheap
+// without changing observable behavior:
 //
 //   - All ways live in one backing slab allocated by New, so constructing
 //     a structure costs one allocation regardless of set count.
 //   - PurgeAll bumps a generation counter instead of scanning: an entry is
-//     live only when its generation matches the structure's, so a full
-//     purge is O(1) while every per-entry operation is unchanged.
+//     live only when its generation matches the structure's, so no way is
+//     visited.
+//   - Large fully associative structures (Sets == 1, Ways >= 64, with an
+//     index function: the 128-entry PLB and TLBs, the IOTLBs) find a key
+//     through a flat way index instead of scanning every way. The index
+//     is an open-addressed []int32 of at least 2*Ways slots, each holding
+//     way+1 or 0 for empty, probed linearly from a multiplicative hash of
+//     the structure's own index function; keys are compared against the
+//     slab, so no runtime type hash runs. It is exact: a key is indexed
+//     if and only if a live way holds it. Insert de-indexes the victim it
+//     overwrites, Invalidate and PurgeIf de-index what they drop (with
+//     backward-shift deletion, so no tombstones accumulate), and PurgeAll
+//     clears the table — for a 128-way structure a 1 KB clear, so a full
+//     purge costs O(Ways/16) words rather than O(1).
 package assoc
 
 import (
@@ -97,15 +109,12 @@ type Cache[K comparable, V any] struct {
 	rng     *rand.Rand
 	onEvict func(K, V)
 
-	// idx maps key → way for large fully-associative structures, turning
-	// the per-access way scan into one map probe. Pure host-side
-	// acceleration: every probe validates the slot (live + key match), so
-	// stale index entries — left behind by PurgeAll's generation bump or
-	// by predicate purges — read as misses, exactly as the scan would.
-	// The invariant is one-way: a live entry always has a current index
-	// entry (maintained by Insert/Invalidate/PurgeIf), but an index entry
-	// may point at a dead or reused slot.
-	idx map[K]int32
+	// slots is the flat way index (nil when the structure scans): slot
+	// i holds way+1 of the live entry hashed there, 0 if empty. len is a
+	// power of two >= 2*Ways, so a probe always meets an empty slot.
+	slots []int32
+	mask  uint64 // len(slots) - 1
+	shift uint8  // 64 - log2(len(slots)): keeps the hash's top bits
 }
 
 // New creates a Cache with the given configuration. index maps a key to a
@@ -133,23 +142,64 @@ func New[K comparable, V any](cfg Config, index func(K) uint64) *Cache[K, V] {
 	}
 	// Index large fully-associative structures (the 128-way PLB and TLB
 	// organizations); small sets scan faster than they hash.
-	if cfg.Sets == 1 && cfg.Ways >= 64 {
-		c.idx = make(map[K]int32, cfg.Ways)
+	if cfg.Sets == 1 && cfg.Ways >= 64 && index != nil {
+		n, bits := 1, uint8(0)
+		for n < 2*cfg.Ways {
+			n <<= 1
+			bits++
+		}
+		c.slots = make([]int32, n)
+		c.mask = uint64(n - 1)
+		c.shift = 64 - bits
 	}
 	return c
+}
+
+// home returns k's first probe slot in the way index.
+func (c *Cache[K, V]) home(k K) uint64 {
+	return c.index(k) * 0x9e3779b97f4a7c15 >> c.shift
+}
+
+// indexAdd records that way w holds k, which must not be indexed yet.
+func (c *Cache[K, V]) indexAdd(k K, w int) {
+	i := c.home(k)
+	for c.slots[i] != 0 {
+		i = (i + 1) & c.mask
+	}
+	c.slots[i] = int32(w + 1)
+}
+
+// indexDel removes way w, which holds k, from the way index. Later
+// entries of the probe run shift back into the hole when their home
+// allows it, so every remaining key stays reachable from its home
+// without tombstones.
+func (c *Cache[K, V]) indexDel(k K, w int) {
+	set := c.sets[0]
+	i := c.home(k)
+	for c.slots[i] != int32(w+1) {
+		i = (i + 1) & c.mask
+	}
+	for j := (i + 1) & c.mask; c.slots[j] != 0; j = (j + 1) & c.mask {
+		s := c.slots[j]
+		// The entry at j may fill hole i if i lies on its probe path,
+		// i.e. i is no farther from j than its home is.
+		if (j-c.home(set[s-1].key))&c.mask >= (j-i)&c.mask {
+			c.slots[i] = s
+			i = j
+		}
+	}
+	c.slots[i] = 0
 }
 
 // find returns the way of the live entry for k in set si, or -1.
 func (c *Cache[K, V]) find(si int, k K) int {
 	set := c.sets[si]
-	if c.idx != nil {
-		w, ok := c.idx[k]
-		if !ok {
-			return -1
-		}
-		e := &set[w]
-		if c.live(e) && e.key == k {
-			return int(w)
+	if c.slots != nil {
+		// The index is exact, so an indexed way is live.
+		for i := c.home(k); c.slots[i] != 0; i = (i + 1) & c.mask {
+			if w := c.slots[i] - 1; set[w].key == k {
+				return int(w)
+			}
 		}
 		return -1
 	}
@@ -234,8 +284,8 @@ func (c *Cache[K, V]) Insert(k K, v V) (evictedKey K, evictedVal V, evicted bool
 		if !c.live(&set[i]) {
 			set[i] = entry[K, V]{key: k, val: v, valid: true, gen: c.gen, lastUse: c.tick, inserted: c.tick}
 			c.size++
-			if c.idx != nil {
-				c.idx[k] = int32(i)
+			if c.slots != nil {
+				c.indexAdd(k, i)
 			}
 			return evictedKey, evictedVal, false
 		}
@@ -246,10 +296,12 @@ func (c *Cache[K, V]) Insert(k K, v V) (evictedKey K, evictedVal V, evicted bool
 	if c.onEvict != nil {
 		c.onEvict(evictedKey, evictedVal)
 	}
+	if c.slots != nil {
+		c.indexDel(evictedKey, victim)
+	}
 	set[victim] = entry[K, V]{key: k, val: v, valid: true, gen: c.gen, lastUse: c.tick, inserted: c.tick}
-	if c.idx != nil {
-		delete(c.idx, evictedKey)
-		c.idx[k] = int32(victim)
+	if c.slots != nil {
+		c.indexAdd(k, victim)
 	}
 	return evictedKey, evictedVal, true
 }
@@ -294,8 +346,8 @@ func (c *Cache[K, V]) Invalidate(k K) bool {
 	if i := c.find(si, k); i >= 0 {
 		c.sets[si][i].valid = false
 		c.size--
-		if c.idx != nil {
-			delete(c.idx, k)
+		if c.slots != nil {
+			c.indexDel(k, i)
 		}
 		return true
 	}
@@ -321,8 +373,8 @@ func (c *Cache[K, V]) PurgeIf(pred func(K, V) bool) (removed, inspected int) {
 				set[i].valid = false
 				c.size--
 				removed++
-				if c.idx != nil {
-					delete(c.idx, set[i].key)
+				if c.slots != nil {
+					c.indexDel(set[i].key, i)
 				}
 			}
 		}
@@ -353,12 +405,16 @@ func (c *Cache[K, V]) UpdateIf(pred func(K, V) bool, fn func(K, V) V) (updated, 
 	return updated, inspected
 }
 
-// PurgeAll removes every entry, returning how many were valid. The purge
-// is O(1): the generation counter advances, orphaning every slot.
+// PurgeAll removes every entry, returning how many were valid. The
+// generation counter advances, orphaning every way without visiting it;
+// a non-empty way index is cleared in one pass over its slots.
 func (c *Cache[K, V]) PurgeAll() int {
 	removed := c.size
 	c.gen++
 	c.size = 0
+	if removed > 0 && c.slots != nil {
+		clear(c.slots)
+	}
 	return removed
 }
 

@@ -230,9 +230,11 @@ func New(cfg Config, os OS, ctrs *stats.Counters) *Device {
 	acfg := assoc.Config{Sets: 1, Ways: cfg.Entries, Policy: assoc.LRU}
 	switch cfg.Org {
 	case OrgDomainPage:
-		d.dp = assoc.New[dpKey, dpEntry](acfg, nil)
+		d.dp = assoc.New[dpKey, dpEntry](acfg, func(k dpKey) uint64 {
+			return uint64(k.vpn) ^ uint64(k.d)<<17
+		})
 	case OrgPageGroup:
-		d.pg = assoc.New[addr.VPN, pgEntry](acfg, nil)
+		d.pg = assoc.New[addr.VPN, pgEntry](acfg, func(v addr.VPN) uint64 { return uint64(v) })
 		d.groups = make(map[addr.GroupID]bool)
 	default:
 		panic("iommu: unknown IOTLB organization")

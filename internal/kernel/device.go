@@ -248,7 +248,7 @@ func (k *Kernel) DeviceReadPage(i int, va addr.VA) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	k.trans.SetRef(vpn)
+	k.trans.Reference(vpn, false)
 	k.devs[i].ChargeDMAPage(k.topo, vpn)
 	return append([]byte(nil), data...), nil
 }
@@ -268,7 +268,7 @@ func (k *Kernel) DeviceWritePage(i int, va addr.VA, buf []byte) error {
 		return err
 	}
 	copy(data, buf)
-	k.trans.SetDirty(vpn)
+	k.trans.Reference(vpn, true)
 	k.devs[i].ChargeDMAPage(k.topo, vpn)
 	return nil
 }
@@ -281,11 +281,7 @@ func (k *Kernel) DeviceTouch(i int, va addr.VA, kind addr.AccessKind) error {
 	if err := k.deviceCheck(i, vpn, kind); err != nil {
 		return err
 	}
-	if kind == addr.Store {
-		k.trans.SetDirty(vpn)
-	} else {
-		k.trans.SetRef(vpn)
-	}
+	k.trans.Reference(vpn, kind == addr.Store)
 	k.devs[i].ChargeDMAWord(k.topo, vpn)
 	return nil
 }

@@ -51,6 +51,19 @@ func (e *FaultError) Unwrap() []error {
 	return out
 }
 
+// NotMappedError is a data access to a page the translation table does
+// not map. The hardware can admit such a reference through a stale TLB
+// or PLB entry — one whose shootdown never arrived — after the kernel
+// dropped the page; the access then has no frame to read or write.
+type NotMappedError struct {
+	VPN addr.VPN
+}
+
+// Error implements error.
+func (e *NotMappedError) Error() string {
+	return fmt.Sprintf("kernel: page %#x not mapped", uint64(e.VPN))
+}
+
 // faultErr builds a FaultError for domain d's access at va.
 func faultErr(d *Domain, va addr.VA, kind addr.AccessKind, sentinel, cause error) error {
 	return &FaultError{Domain: d.ID, VA: va, Kind: kind, Sentinel: sentinel, Cause: cause}

@@ -372,8 +372,9 @@ type transTable interface {
 	Map(addr.VPN, addr.PFN) error
 	Unmap(addr.VPN) (ptable.PTE, error)
 	Lookup(addr.VPN) (ptable.PTE, bool)
-	SetDirty(addr.VPN)
-	SetRef(addr.VPN)
+	// Reference sets the reference bit, and the dirty bit for a store,
+	// and returns the entry, in one probe.
+	Reference(vpn addr.VPN, store bool) (ptable.PTE, bool)
 	ClearDirty(addr.VPN) bool
 	Len() int
 }

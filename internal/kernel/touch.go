@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/cpu"
+	"repro/internal/ptable"
 )
 
 // Touch issues one memory reference by domain d at va, running the full
@@ -14,7 +15,19 @@ import (
 // manipulates rights and lets the access retry (the Appel-Li style
 // user-level VM primitives the paper's workloads rely on).
 func (k *Kernel) Touch(d *Domain, va addr.VA, kind addr.AccessKind) error {
-	k.Switch(d)
+	_, _, err := k.touch(d, va, kind)
+	return err
+}
+
+// touch is Touch returning the translation entry of the referenced page,
+// whose reference (and, for a store, dirty) bit it set in the same table
+// probe. mapped is false when the hardware admitted the reference
+// through a stale entry after the kernel table dropped the page (a
+// shootdown that never arrived): the access succeeds, but there is no
+// frame behind it.
+func (k *Kernel) touch(d *Domain, va addr.VA, kind addr.AccessKind) (pte ptable.PTE, mapped bool, err error) {
+	// NewChecked guarantees MaxFaultRetries >= 1, so the loop always runs
+	// and its first Switch puts d on the CPU.
 	for try := 0; try < k.cfg.MaxFaultRetries; try++ {
 		k.Switch(d) // a fault handler may have switched domains
 		if k.injectSpuriousTrap(d, va, kind) {
@@ -23,42 +36,37 @@ func (k *Kernel) Touch(d *Domain, va addr.VA, kind addr.AccessKind) error {
 			// idempotent handlers re-grant and the access retries.
 			k.cycles.Add(k.costs().Trap)
 			if err := k.handleProtFault(d, va, kind); err != nil {
-				return err
+				return pte, false, err
 			}
 			continue
 		}
 		out := k.mach.Access(va, kind)
 		switch out.Fault {
 		case cpu.FaultNone:
-			vpn := k.geo.PageNumber(va)
-			if kind == addr.Store {
-				k.trans.SetDirty(vpn)
-			} else {
-				k.trans.SetRef(vpn)
-			}
-			return nil
+			pte, mapped = k.trans.Reference(k.geo.PageNumber(va), kind == addr.Store)
+			return pte, mapped, nil
 		case cpu.FaultPageUnmapped:
 			if k.Mapped(k.geo.PageNumber(va)) {
 				// The page has a translation; the "unmapped" fault came
 				// from a per-space view with no record for this domain
 				// (ModelConventional): a protection matter, not paging.
 				if err := k.handleProtFault(d, va, kind); err != nil {
-					return err
+					return pte, false, err
 				}
 				break
 			}
 			if err := k.handlePageFault(va); err != nil {
-				return faultErr(d, va, kind, nil, err)
+				return pte, false, faultErr(d, va, kind, nil, err)
 			}
 		case cpu.FaultProtection:
 			if err := k.handleProtFault(d, va, kind); err != nil {
-				return err
+				return pte, false, err
 			}
 		case cpu.FaultNoAuthority:
-			return faultErr(d, va, kind, ErrNoAuthority, nil)
+			return pte, false, faultErr(d, va, kind, ErrNoAuthority, nil)
 		}
 	}
-	return faultErr(d, va, kind, ErrFaultLoop, nil)
+	return pte, false, faultErr(d, va, kind, ErrFaultLoop, nil)
 }
 
 // handlePageFault resolves a missing translation: pages that were paged
@@ -153,7 +161,22 @@ func (k *Kernel) handleProtFault(d *Domain, va addr.VA, kind addr.AccessKind) er
 func (k *Kernel) frameData(vpn addr.VPN) ([]byte, error) {
 	pte, ok := k.trans.Lookup(vpn)
 	if !ok {
-		return nil, fmt.Errorf("kernel: page %#x not mapped", uint64(vpn))
+		return nil, &NotMappedError{VPN: vpn}
+	}
+	return k.memory.Data(pte.PFN), nil
+}
+
+// touchData is touch for the data paths: it returns the bytes of the
+// referenced page, taken from the entry the reference probe returned,
+// or a *NotMappedError when the hardware admitted the access to a page
+// the kernel no longer maps.
+func (k *Kernel) touchData(d *Domain, va addr.VA, kind addr.AccessKind) ([]byte, error) {
+	pte, mapped, err := k.touch(d, va, kind)
+	if err != nil {
+		return nil, err
+	}
+	if !mapped {
+		return nil, &NotMappedError{VPN: k.geo.PageNumber(va)}
 	}
 	return k.memory.Data(pte.PFN), nil
 }
@@ -161,10 +184,7 @@ func (k *Kernel) frameData(vpn addr.VPN) ([]byte, error) {
 // Load performs a protection-checked 64-bit load at va (must be 8-byte
 // aligned within a page).
 func (k *Kernel) Load(d *Domain, va addr.VA) (uint64, error) {
-	if err := k.Touch(d, va, addr.Load); err != nil {
-		return 0, err
-	}
-	data, err := k.frameData(k.geo.PageNumber(va))
+	data, err := k.touchData(d, va, addr.Load)
 	if err != nil {
 		return 0, err
 	}
@@ -178,10 +198,7 @@ func (k *Kernel) Load(d *Domain, va addr.VA) (uint64, error) {
 
 // Store performs a protection-checked 64-bit store at va.
 func (k *Kernel) Store(d *Domain, va addr.VA, v uint64) error {
-	if err := k.Touch(d, va, addr.Store); err != nil {
-		return err
-	}
-	data, err := k.frameData(k.geo.PageNumber(va))
+	data, err := k.touchData(d, va, addr.Store)
 	if err != nil {
 		return err
 	}
@@ -196,11 +213,7 @@ func (k *Kernel) Store(d *Domain, va addr.VA, v uint64) error {
 // protection-checked load of its first byte. Used by servers (pagers,
 // checkpointers) that process whole pages.
 func (k *Kernel) ReadPage(d *Domain, va addr.VA) ([]byte, error) {
-	base := k.geo.Base(k.geo.PageNumber(va))
-	if err := k.Touch(d, base, addr.Load); err != nil {
-		return nil, err
-	}
-	data, err := k.frameData(k.geo.PageNumber(va))
+	data, err := k.touchData(d, k.geo.Base(k.geo.PageNumber(va)), addr.Load)
 	if err != nil {
 		return nil, err
 	}
@@ -211,11 +224,7 @@ func (k *Kernel) ReadPage(d *Domain, va addr.VA) ([]byte, error) {
 // WritePage overwrites the page holding va with buf after a
 // protection-checked store.
 func (k *Kernel) WritePage(d *Domain, va addr.VA, buf []byte) error {
-	base := k.geo.Base(k.geo.PageNumber(va))
-	if err := k.Touch(d, base, addr.Store); err != nil {
-		return err
-	}
-	data, err := k.frameData(k.geo.PageNumber(va))
+	data, err := k.touchData(d, k.geo.Base(k.geo.PageNumber(va)), addr.Store)
 	if err != nil {
 		return err
 	}

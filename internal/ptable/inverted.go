@@ -173,21 +173,20 @@ func (t *InvertedTable) Unmap(vpn addr.VPN) (PTE, error) {
 	return PTE{PFN: addr.PFN(f), Dirty: e.dirty, Ref: e.ref}, nil
 }
 
-// SetDirty sets the dirty (and reference) bits for vpn if mapped.
-func (t *InvertedTable) SetDirty(vpn addr.VPN) {
+// Reference sets the reference bit for vpn, and the dirty bit too for a
+// store, and returns the updated entry. It walks the chain once and
+// counts one lookup. ok is false, and nothing changes, when vpn is not
+// mapped.
+func (t *InvertedTable) Reference(vpn addr.VPN, store bool) (PTE, bool) {
 	t.lookups++
-	if f, _ := t.find(vpn); f != -1 {
-		t.entries[f].dirty = true
-		t.entries[f].ref = true
+	f, _ := t.find(vpn)
+	if f == -1 {
+		return PTE{}, false
 	}
-}
-
-// SetRef sets the reference bit for vpn if mapped.
-func (t *InvertedTable) SetRef(vpn addr.VPN) {
-	t.lookups++
-	if f, _ := t.find(vpn); f != -1 {
-		t.entries[f].ref = true
-	}
+	e := &t.entries[f]
+	e.ref = true
+	e.dirty = e.dirty || store
+	return PTE{PFN: addr.PFN(f), Dirty: e.dirty, Ref: e.ref}, true
 }
 
 // ClearDirty clears the dirty bit, returning its prior value.

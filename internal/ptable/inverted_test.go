@@ -49,21 +49,27 @@ func TestInvertedRejectsHomonymsAndSynonyms(t *testing.T) {
 func TestInvertedDirtyRef(t *testing.T) {
 	it := MustInvertedTable(4)
 	it.Map(7, 2)
-	it.SetRef(7)
-	pte, _ := it.Lookup(7)
-	if !pte.Ref || pte.Dirty {
-		t.Fatalf("after SetRef: %+v", pte)
+	// Reference walks the chain once and counts one lookup.
+	l0, _ := it.ProbeStats()
+	ref, _ := it.Reference(7, false)
+	if l1, _ := it.ProbeStats(); l1-l0 != 1 {
+		t.Fatalf("Reference counted %d lookups, want 1", l1-l0)
 	}
-	it.SetDirty(7)
-	if pte, _ := it.Lookup(7); !pte.Dirty {
-		t.Fatal("SetDirty lost")
+	pte, _ := it.Lookup(7)
+	if !pte.Ref || pte.Dirty || ref != pte {
+		t.Fatalf("after load Reference: returned %+v, table %+v", ref, pte)
+	}
+	ref, _ = it.Reference(7, true)
+	if pte, _ := it.Lookup(7); !pte.Dirty || !pte.Ref || ref != pte {
+		t.Fatalf("after store Reference: returned %+v, table %+v", ref, pte)
 	}
 	if !it.ClearDirty(7) || it.ClearDirty(7) {
 		t.Fatal("ClearDirty semantics wrong")
 	}
-	// Bits on unmapped pages: silent no-ops.
-	it.SetDirty(99)
-	it.SetRef(99)
+	// Referencing an unmapped page reports it and changes nothing.
+	if pte, ok := it.Reference(99, true); ok || pte != (PTE{}) || it.Len() != 1 {
+		t.Fatalf("Reference on unmapped page = %+v, %v; Len %d", pte, ok, it.Len())
+	}
 	if it.ClearDirty(99) {
 		t.Fatal("ClearDirty on unmapped returned true")
 	}
@@ -139,9 +145,12 @@ func TestInvertedMatchesMapTable(t *testing.T) {
 					delete(frameUsed, p1.PFN)
 					delete(vpnOf, p1.PFN)
 				}
-			case 2: // dirty/lookup agreement
-				it.SetDirty(vpn)
-				mt.SetDirty(vpn)
+			case 2: // reference/lookup agreement
+				r1, rok1 := it.Reference(vpn, true)
+				r2, rok2 := mt.Reference(vpn, true)
+				if rok1 != rok2 || r1 != r2 {
+					return false
+				}
 				p1, ok1 := it.Lookup(vpn)
 				p2, ok2 := mt.Lookup(vpn)
 				if ok1 != ok2 {

@@ -81,24 +81,22 @@ func (t *TranslationTable) Lookup(vpn addr.VPN) (PTE, bool) {
 	return pte, ok
 }
 
-// SetDirty sets the dirty (and reference) bit for vpn. The map write is
-// skipped when both bits are already set — every warm access lands here,
-// so the common case must not rewrite the entry.
-func (t *TranslationTable) SetDirty(vpn addr.VPN) {
-	if pte, ok := t.entries[vpn]; ok && !(pte.Dirty && pte.Ref) {
-		pte.Dirty = true
+// Reference records one hardware-approved reference to vpn: it sets the
+// reference bit, and the dirty bit too for a store, and returns the
+// updated entry, in one probe. The map write is skipped when the bits
+// are already set, since every warm access lands here. ok is false, and
+// nothing changes, when vpn is not mapped.
+func (t *TranslationTable) Reference(vpn addr.VPN, store bool) (PTE, bool) {
+	pte, ok := t.entries[vpn]
+	if !ok {
+		return PTE{}, false
+	}
+	if !pte.Ref || (store && !pte.Dirty) {
 		pte.Ref = true
+		pte.Dirty = pte.Dirty || store
 		t.entries[vpn] = pte
 	}
-}
-
-// SetRef sets the reference bit for vpn (write skipped when already set;
-// see SetDirty).
-func (t *TranslationTable) SetRef(vpn addr.VPN) {
-	if pte, ok := t.entries[vpn]; ok && !pte.Ref {
-		pte.Ref = true
-		t.entries[vpn] = pte
-	}
+	return pte, true
 }
 
 // ClearDirty clears the dirty bit for vpn and returns its prior value.

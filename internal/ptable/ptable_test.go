@@ -72,15 +72,15 @@ func TestTranslationTableUnmap(t *testing.T) {
 func TestTranslationTableDirtyRef(t *testing.T) {
 	tt := NewTranslationTable()
 	tt.Map(0x1, 3)
-	tt.SetRef(0x1)
+	ref, _ := tt.Reference(0x1, false)
 	pte, _ := tt.Lookup(0x1)
-	if !pte.Ref || pte.Dirty {
-		t.Fatalf("after SetRef: %+v", pte)
+	if !pte.Ref || pte.Dirty || ref != pte {
+		t.Fatalf("after load Reference: returned %+v, table %+v", ref, pte)
 	}
-	tt.SetDirty(0x1)
+	ref, _ = tt.Reference(0x1, true)
 	pte, _ = tt.Lookup(0x1)
-	if !pte.Dirty {
-		t.Fatal("SetDirty failed")
+	if !pte.Dirty || !pte.Ref || ref != pte {
+		t.Fatalf("after store Reference: returned %+v, table %+v", ref, pte)
 	}
 	if was := tt.ClearDirty(0x1); !was {
 		t.Fatal("ClearDirty returned false for dirty page")
@@ -92,9 +92,10 @@ func TestTranslationTableDirtyRef(t *testing.T) {
 	if tt.ClearDirty(0x999) {
 		t.Fatal("ClearDirty on unmapped page returned true")
 	}
-	// Setting bits on unmapped pages is a silent no-op.
-	tt.SetDirty(0x999)
-	tt.SetRef(0x999)
+	// Referencing an unmapped page reports it and changes nothing.
+	if pte, ok := tt.Reference(0x999, true); ok || pte != (PTE{}) || tt.Len() != 1 {
+		t.Fatalf("Reference on unmapped page = %+v, %v; Len %d", pte, ok, tt.Len())
+	}
 }
 
 // Property: any interleaving of valid map/unmap keeps the table internally
