@@ -232,10 +232,6 @@ func (c *Cache[K, V]) setIndex(k K) int {
 	return int(c.index(k) % uint64(c.cfg.Sets))
 }
 
-func (c *Cache[K, V]) setFor(k K) []entry[K, V] {
-	return c.sets[c.setIndex(k)]
-}
-
 // live reports whether the slot holds an entry that survived the most
 // recent PurgeAll.
 func (c *Cache[K, V]) live(e *entry[K, V]) bool {

@@ -40,16 +40,14 @@ func (e *convEngine) onAttach(d *Domain, s *Segment, r addr.Rights) {
 // (ASID, page) at a time.
 func (e *convEngine) onDetach(d *Domain, s *Segment) {
 	for i := uint64(0); i < s.NumPages(); i++ {
-		e.k.convm.InvalidateEntry(addr.ASID(d.ID), s.PageVPN(i))
-		e.k.shootDomain(d, smp.Request{Kind: smp.InvalRights, VPN: s.PageVPN(i)})
+		e.k.maintainDomain(d, smp.Request{Kind: smp.InvalRights, VPN: s.PageVPN(i)})
 	}
 	e.hSlotsFreed.Add(s.NumPages())
 }
 
 // setPageRights updates the one resident (ASID, page) entry.
 func (e *convEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
-	e.k.convm.SetRights(addr.ASID(d.ID), vpn, r)
-	e.k.shootDomain(d, smp.Request{Kind: smp.UpdateRights, VPN: vpn, Rights: r})
+	e.k.maintainDomain(d, smp.Request{Kind: smp.UpdateRights, VPN: vpn, Rights: r})
 	return nil
 }
 
@@ -57,8 +55,7 @@ func (e *convEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error
 // segment — there is no segment-level hardware handle (Section 3.1).
 func (e *convEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
 	for i := uint64(0); i < s.NumPages(); i++ {
-		e.k.convm.SetRights(addr.ASID(d.ID), s.PageVPN(i), r)
-		e.k.shootDomain(d, smp.Request{Kind: smp.UpdateRights, VPN: s.PageVPN(i), Rights: r})
+		e.k.maintainDomain(d, smp.Request{Kind: smp.UpdateRights, VPN: s.PageVPN(i), Rights: r})
 	}
 	e.hPerPageOps.Add(s.NumPages())
 	return nil
@@ -67,29 +64,22 @@ func (e *convEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) erro
 // onUnmap must purge every space's duplicate of the page — on every CPU
 // that may hold one.
 func (e *convEngine) onUnmap(vpn addr.VPN) {
-	e.k.convm.UnmapPage(vpn)
-	e.k.shootPage(vpn, smp.Request{Kind: smp.Unmap, VPN: vpn})
+	e.k.maintainPage(vpn, smp.Request{Kind: smp.Unmap, VPN: vpn})
 }
 
 func (e *convEngine) onDestroySegment(s *Segment) {
 	for i := uint64(0); i < s.NumPages(); i++ {
-		e.k.convm.InvalidatePage(s.PageVPN(i))
-		e.k.shootPage(s.PageVPN(i), smp.Request{Kind: smp.PurgePage, VPN: s.PageVPN(i)})
+		e.k.maintainPage(s.PageVPN(i), smp.Request{Kind: smp.PurgePage, VPN: s.PageVPN(i)})
 	}
 }
 
-// onDestroyDomain retires the dying domain's whole address space: one
-// ASID-wide TLB purge locally (when the directory says this CPU holds
-// its entries) and one DomainPurge per remote sharer — the single place
-// the conventional model beats its own per-page detach storm, because an
+// onDestroyDomain retires the dying domain's whole address space with
+// ASID-wide TLB purges (purgeDomain) — the single place the
+// conventional model beats its own per-page detach storm, because an
 // exiting process's space dies wholesale. The linear page-table slots of
 // every remaining attachment are freed with it.
 func (e *convEngine) onDestroyDomain(d *Domain) {
-	if d.cpus.Has(e.k.cur) {
-		e.k.convm.PurgeASID(addr.ASID(d.ID))
-		d.cpus.Remove(e.k.cur)
-	}
-	e.k.shootDomain(d, smp.Request{Kind: smp.DomainPurge})
+	e.k.purgeDomain(d)
 	var slots uint64
 	for sid := range d.attached {
 		if s, ok := e.k.segments[sid]; ok {

@@ -106,7 +106,7 @@ func (k *Kernel) attachDevices(devs []DeviceConfig) {
 	specs := make([]smp.DeviceSpec, len(devs))
 	for i, dc := range devs {
 		seat := len(k.machs) + i
-		k.devs = append(k.devs, iommu.New(iommu.Config{
+		dev := iommu.New(iommu.Config{
 			Name:     dc.Name,
 			Kind:     dc.Kind,
 			Org:      deviceOrg(k.cfg.Model),
@@ -115,7 +115,9 @@ func (k *Kernel) attachDevices(devs []DeviceConfig) {
 			Cluster:  dc.Cluster,
 			Geometry: k.geo,
 			Costs:    k.costs,
-		}, k, &k.ctrs))
+		}, k, &k.ctrs)
+		k.devs = append(k.devs, dev)
+		k.seats = append(k.seats, dev)
 		specs[i] = smp.DeviceSpec{Cluster: dc.Cluster, TimeoutScale: uint64(dc.TimeoutScale)}
 	}
 	k.shoot.AttachDevices(specs)
@@ -130,15 +132,6 @@ func (k *Kernel) Device(i int) *iommu.Device { return k.devs[i] }
 // DeviceSeat returns device i's target index on the interconnect
 // (device seats start at NumCPUs).
 func (k *Kernel) DeviceSeat(i int) int { return len(k.machs) + i }
-
-// deviceAt returns the device holding interconnect seat, or nil for
-// CPU seats.
-func (k *Kernel) deviceAt(seat int) *iommu.Device {
-	if i := seat - len(k.machs); i >= 0 && i < len(k.devs) {
-		return k.devs[i]
-	}
-	return nil
-}
 
 // DeviceTrusted reports whether device i holds no missed invalidations
 // (the device-seat analog of CPUTrusted).
@@ -179,8 +172,7 @@ func (k *Kernel) ProgramDevice(i int, d *Domain) {
 // purge-before-reuse path, paid on every reprogram.
 func (k *Kernel) RejoinDevice(i int) {
 	seat := k.DeviceSeat(i)
-	k.devs[i].PurgeAll()
-	k.withdrawCPU(seat)
+	k.purgeSeat(seat)
 	if k.shoot != nil {
 		k.shoot.DropPending(seat)
 		k.shoot.Rejoin(seat)
@@ -284,21 +276,4 @@ func (k *Kernel) DeviceTouch(i int, va addr.VA, kind addr.AccessKind) error {
 	k.trans.Reference(vpn, kind == addr.Store)
 	k.devs[i].ChargeDMAWord(k.topo, vpn)
 	return nil
-}
-
-// applyDeviceShootdown routes a shootdown delivered to a device seat
-// onto the device's IOTLB, mirroring the CPU path's provable-withdrawal
-// discipline: removal kinds that may have dropped the domain's last
-// cached authority re-check and withdraw the seat from the residency
-// set.
-func (k *Kernel) applyDeviceShootdown(seat int, r smp.Request) int {
-	dev := k.deviceAt(seat)
-	n := dev.Apply(r)
-	switch r.Kind {
-	case smp.InvalRights, smp.RangeDetach, smp.GroupRevoke, smp.DomainPurge:
-		k.withdrawIfEmpty(seat, r.Domain)
-	case smp.PurgeAllProt:
-		k.doms.forEach(func(dom *Domain) { dom.cpus.Remove(seat) })
-	}
-	return n
 }

@@ -2,9 +2,7 @@ package kernel
 
 import (
 	"repro/internal/addr"
-	"repro/internal/plb"
 	"repro/internal/smp"
-	"repro/internal/tlb"
 )
 
 // The sharer directory tracks, per domain and per page, which CPUs
@@ -17,9 +15,9 @@ import (
 //     set.
 //   - Withdrawals: a CPU leaves sets only when the kernel can prove it
 //     holds nothing the set stands for — a bulk invalidation
-//     (purgeCPU/rejoin), a flush-model switch-away, or a removal-kind
+//     (purgeSeat/rejoin), a flush-model switch-away, or a removal-kind
 //     shootdown apply after which a hardware scan finds no entry of the
-//     domain left (domainHasEntries).
+//     domain left (seat.HasDomainEntries).
 //
 // The invariant is superset semantics: every CPU holding a live entry
 // is in the corresponding set; a set may conservatively name CPUs that
@@ -62,63 +60,28 @@ func (k *Kernel) withdrawCPU(i int) {
 	k.active.Remove(i)
 }
 
-// domainHasEntries reports whether CPU cpu's hardware still holds any
-// entry naming domain d — the scan a removal shootdown runs to decide
-// whether the apply dropped the domain's last entry there (and the CPU
-// can be withdrawn from d's residency set). Checker (page-group) state
-// is not consulted: group loads target by executing domain, not by
-// residency.
-func (k *Kernel) domainHasEntries(cpu int, d addr.DomainID) bool {
-	if dev := k.deviceAt(cpu); dev != nil {
-		return dev.HasDomainEntries(d)
-	}
-	switch {
-	case k.plbms != nil:
-		found := false
-		k.plbms[cpu].PLB().ForEach(func(key plb.Key, _ addr.Rights) bool {
-			if key.Domain == d {
-				found = true
-				return false
-			}
-			return true
-		})
-		return found
-	case k.convms != nil:
-		found := false
-		as := addr.ASID(d)
-		k.convms[cpu].TLB().ForEach(func(key tlb.ASIDKey, _ tlb.ASIDEntry) bool {
-			if key.AS == as {
-				found = true
-				return false
-			}
-			return true
-		})
-		return found
-	}
-	// Page-group hardware holds no per-domain entries to scan (the
-	// checker targets by executing domain, not residency); withdrawal
-	// waits for a bulk invalidation.
-	return true
-}
-
-// withdrawIfEmpty removes CPU cpu from domain d's residency set when
-// cpu's hardware provably holds no entry naming d any more (called
-// after removal-kind shootdown applies).
-func (k *Kernel) withdrawIfEmpty(cpu int, d addr.DomainID) {
-	if k.domainHasEntries(cpu, d) {
+// withdrawIfEmpty removes seat t from domain d's residency set when
+// its hardware provably holds no entry naming d any more (called after
+// removal-kind shootdown applies). Page-group checker state is not
+// scanned: group loads target by executing domain, not residency, so a
+// page-group CPU reports entries and waits for a bulk invalidation.
+func (k *Kernel) withdrawIfEmpty(t int, d addr.DomainID) {
+	if k.seats[t].HasDomainEntries(d) {
 		return
 	}
 	if dom := k.doms.get(d); dom != nil {
-		dom.cpus.Remove(cpu)
+		dom.cpus.Remove(t)
 	}
 }
 
-// shootPage enqueues r to every CPU in vpn's sharer set except the
-// current one — page-scoped targeting for translation maintenance
-// (unmap, purge-page, group-update). CPUs that never installed state
-// for the page are skipped entirely; absent any sharer record nothing
-// is sent (no CPU can hold an entry that was never installed).
-func (k *Kernel) shootPage(vpn addr.VPN, r smp.Request) {
+// maintainPage applies r on the current CPU and enqueues it to every
+// other seat in vpn's sharer set — page-scoped targeting for
+// translation maintenance (unmap, purge-page, group-update). Seats that
+// never installed state for the page are skipped entirely; absent any
+// sharer record nothing is sent (no seat can hold an entry that was
+// never installed).
+func (k *Kernel) maintainPage(vpn addr.VPN, r smp.Request) {
+	k.seats[k.cur].Apply(r)
 	if k.shoot == nil {
 		return
 	}
@@ -133,9 +96,11 @@ func (k *Kernel) shootPage(vpn addr.VPN, r smp.Request) {
 	})
 }
 
-// shootRange enqueues r to the union of sharer sets over every page
-// the range spans (range-scoped purges on segment destruction).
-func (k *Kernel) shootRange(rg addr.Range, r smp.Request) {
+// maintainRange applies r on the current CPU and enqueues it to the
+// union of sharer sets over every page the range spans (range-scoped
+// purges on segment destruction).
+func (k *Kernel) maintainRange(rg addr.Range, r smp.Request) {
+	k.seats[k.cur].Apply(r)
 	if k.shoot == nil {
 		return
 	}

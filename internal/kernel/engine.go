@@ -115,12 +115,10 @@ func (e *dpEngine) onAttach(*Domain, *Segment, addr.Rights) {}
 // (Table 1, row 2; ablation A5).
 func (e *dpEngine) onDetach(d *Domain, s *Segment) {
 	if e.k.cfg.PLBDetach == DetachPurgeAll {
-		e.k.plbm.PurgeAllPLB()
-		e.k.shootDomain(d, smp.Request{Kind: smp.PurgeAllProt})
+		e.k.maintainDomain(d, smp.Request{Kind: smp.PurgeAllProt})
 		return
 	}
-	e.k.plbm.DetachRange(d.ID, s.Range.Start, s.Range.Length)
-	e.k.shootDomain(d, smp.Request{Kind: smp.RangeDetach, Range: s.Range})
+	e.k.maintainDomain(d, smp.Request{Kind: smp.RangeDetach, Range: s.Range})
 }
 
 // setPageRights updates the resident PLB entry for (d, page), if any —
@@ -129,55 +127,38 @@ func (e *dpEngine) onDetach(d *Domain, s *Segment) {
 // a base-page entry installed (sibling pages re-fault their super-page
 // entry lazily).
 func (e *dpEngine) setPageRights(d *Domain, vpn addr.VPN, r addr.Rights) error {
-	va := e.k.geo.Base(vpn)
 	if s := e.k.segmentOf(vpn); s != nil && s.protShift != 0 {
-		e.k.plbm.InvalidateRights(d.ID, va)
-		e.k.plbm.InstallRights(d.ID, va, e.k.geo.Shift(), r)
-		// The eager install makes this CPU a holder of d's entries;
-		// remote CPUs just invalidate and re-fault at the new rights.
-		e.k.markInstalled(d)
-		e.k.shootDomain(d, smp.Request{Kind: smp.InvalRights, VPN: vpn})
+		// Remote CPUs just invalidate and re-fault at the new rights;
+		// the eager install makes this CPU a holder of d's entries.
+		e.k.maintainDomain(d, smp.Request{Kind: smp.InvalRights, VPN: vpn})
+		e.k.PLBMachine().InstallRights(d.ID, e.k.geo.Base(vpn), e.k.geo.Shift(), r)
 		return nil
 	}
-	e.k.plbm.UpdateRights(d.ID, va, r)
-	e.k.shootDomain(d, smp.Request{Kind: smp.UpdateRights, VPN: vpn, Rights: r})
+	e.k.maintainDomain(d, smp.Request{Kind: smp.UpdateRights, VPN: vpn, Rights: r})
 	return nil
 }
 
 // setSegmentRights rewrites the domain's resident entries across the
 // segment with a full PLB scan.
 func (e *dpEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
-	e.k.plbm.UpdateRange(d.ID, s.Range.Start, s.Range.Length, r)
-	e.k.shootDomain(d, smp.Request{Kind: smp.RangeRights, Range: s.Range, Rights: r})
+	e.k.maintainDomain(d, smp.Request{Kind: smp.RangeRights, Range: s.Range, Rights: r})
 	return nil
 }
 
 func (e *dpEngine) onUnmap(vpn addr.VPN) {
-	e.k.plbm.UnmapPage(vpn)
-	e.k.shootPage(vpn, smp.Request{Kind: smp.Unmap, VPN: vpn})
+	e.k.maintainPage(vpn, smp.Request{Kind: smp.Unmap, VPN: vpn})
 }
 
 // onDestroySegment purges any lingering PLB entries for the segment's
 // range (stale entries of long-detached domains cannot exist — detach
 // purged them — but execution-keyed entries might).
 func (e *dpEngine) onDestroySegment(s *Segment) {
-	inspected := e.k.plbm.PLB().Len()
-	e.k.plbm.PLB().PurgeRangeAll(s.Range.Start, s.Range.Length)
-	_ = inspected
-	e.k.shootRange(s.Range, smp.Request{Kind: smp.RangePurge, Range: s.Range})
+	e.k.maintainRange(s.Range, smp.Request{Kind: smp.RangePurge, Range: s.Range})
 }
 
-// onDestroyDomain drops every PLB entry naming the dying domain: one
-// purge-by-domain scan locally (when the directory says this CPU holds
-// its entries) plus one DomainPurge shootdown per remote sharer seat —
-// the destroy cost scales with actual sharers, not machine size.
-func (e *dpEngine) onDestroyDomain(d *Domain) {
-	if d.cpus.Has(e.k.cur) {
-		e.k.plbm.PurgeDomain(d.ID)
-		d.cpus.Remove(e.k.cur)
-	}
-	e.k.shootDomain(d, smp.Request{Kind: smp.DomainPurge})
-}
+// onDestroyDomain drops every PLB entry naming the dying domain with
+// purge-by-domain scans (purgeDomain).
+func (e *dpEngine) onDestroyDomain(d *Domain) { e.k.purgeDomain(d) }
 
 // onFork is free in the domain-page model: the child's PLB entries fault
 // in on first touch, exactly like any other attachment (the PLB-fill
@@ -352,8 +333,7 @@ func (e *pgEngine) grant(d *Domain, g addr.GroupID, wd bool) {
 		d.groups[i].WriteDisable = wd
 	}
 	e.hGrants.Inc()
-	e.k.pgm.AttachGroup(d.ID, g, wd)
-	e.k.shootExecuting(d, smp.Request{Kind: smp.GroupLoad, Group: g, WD: wd})
+	e.k.maintainExecuting(d, smp.Request{Kind: smp.GroupLoad, Group: g, WD: wd})
 }
 
 // revoke removes g from d's group set.
@@ -370,8 +350,7 @@ func (e *pgEngine) revoke(d *Domain, g addr.GroupID) {
 // checker and from every remote seat executing d.
 func (e *pgEngine) withdraw(d *Domain, g addr.GroupID) {
 	e.hRevokes.Inc()
-	e.k.pgm.DetachGroup(d.ID, g)
-	e.k.shootExecuting(d, smp.Request{Kind: smp.GroupRevoke, Group: g})
+	e.k.maintainExecuting(d, smp.Request{Kind: smp.GroupRevoke, Group: g})
 }
 
 // recomputePrimary re-derives the segment's primary group state from its
@@ -419,8 +398,7 @@ func (e *pgEngine) recomputePrimary(s *Segment) {
 		p := s.pageRecs[vpn]
 		if p.group == s.group && p.groupRights != field {
 			p.groupRights = field
-			e.k.pgm.UpdatePage(vpn, p.group, field)
-			e.k.shootPage(vpn, smp.Request{Kind: smp.GroupUpdate, VPN: vpn, Group: p.group, Rights: field})
+			e.k.maintainPage(vpn, smp.Request{Kind: smp.GroupUpdate, VPN: vpn, Group: p.group, Rights: field})
 		}
 	}
 }
@@ -656,8 +634,7 @@ func (e *pgEngine) movePage(vpn addr.VPN, p *page, g addr.GroupID, rights addr.R
 	}
 	p.group = g
 	p.groupRights = rights
-	e.k.pgm.UpdatePage(vpn, g, rights)
-	e.k.shootPage(vpn, smp.Request{Kind: smp.GroupUpdate, VPN: vpn, Group: g, Rights: rights})
+	e.k.maintainPage(vpn, smp.Request{Kind: smp.GroupUpdate, VPN: vpn, Group: g, Rights: rights})
 	// Collect the vacated group after the page is re-homed, so the
 	// revocation shootdowns queue behind this page's update.
 	if old != g {
@@ -712,8 +689,7 @@ func (e *pgEngine) setSegmentRights(d *Domain, s *Segment, r addr.Rights) error 
 }
 
 func (e *pgEngine) onUnmap(vpn addr.VPN) {
-	e.k.pgm.UnmapPage(vpn)
-	e.k.shootPage(vpn, smp.Request{Kind: smp.Unmap, VPN: vpn})
+	e.k.maintainPage(vpn, smp.Request{Kind: smp.Unmap, VPN: vpn})
 }
 
 // onDestroySegment tears down the segment's group world. Derived groups

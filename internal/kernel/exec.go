@@ -52,9 +52,8 @@ func (k *Kernel) GrantExecutor(target, code *Segment, r addr.Rights) error {
 	// the stronger rights fault in. (All domains: the grant is
 	// domain-independent.)
 	for i := uint64(0); i < target.NumPages(); i++ {
-		vpn := k.geo.PageNumber(target.PageVA(i))
-		k.plbm.PurgePage(target.PageVA(i))
-		k.shootPage(vpn, smp.Request{Kind: smp.PurgePage, VPN: vpn})
+		vpn := target.PageVPN(i)
+		k.maintainPage(vpn, smp.Request{Kind: smp.PurgePage, VPN: vpn})
 	}
 	k.flushIPIs()
 	return nil
@@ -79,9 +78,8 @@ func (k *Kernel) RevokeExecutor(target, code *Segment) error {
 	if removed {
 		k.ctrs.Inc("kernel.exec_revokes")
 		for i := uint64(0); i < target.NumPages(); i++ {
-			vpn := k.geo.PageNumber(target.PageVA(i))
-			k.plbm.PurgePage(target.PageVA(i))
-			k.shootPage(vpn, smp.Request{Kind: smp.PurgePage, VPN: vpn})
+			vpn := target.PageVPN(i)
+			k.maintainPage(vpn, smp.Request{Kind: smp.PurgePage, VPN: vpn})
 		}
 		k.flushIPIs()
 	}
@@ -109,8 +107,7 @@ func (k *Kernel) SetExecutionSite(d *Domain, va addr.VA) error {
 	for _, g := range k.execGrants {
 		if g.code == oldSeg || g.code == newSeg {
 			k.ctrs.Inc("kernel.exec_site_purges")
-			k.plbm.DetachRange(d.ID, g.target.Range.Start, g.target.Range.Length)
-			k.shootDomain(d, smp.Request{Kind: smp.RangeDetach, Range: g.target.Range})
+			k.maintainDomain(d, smp.Request{Kind: smp.RangeDetach, Range: g.target.Range})
 		}
 	}
 	k.flushIPIs()

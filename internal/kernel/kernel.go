@@ -96,7 +96,9 @@ const (
 
 // Config configures a kernel and its machine.
 type Config struct {
-	// Model selects domain-page (PLB) or page-group (PA-RISC).
+	// Model selects the protection model and with it the machine:
+	// domain-page (PLB), page-group (PA-RISC), conventional (ASID TLB)
+	// or flush (no ASIDs).
 	Model Model
 	// PLBDetach selects the detach implementation under ModelDomainPage.
 	PLBDetach DetachPolicy
@@ -262,7 +264,7 @@ type Domain struct {
 	// cache the domain's protection entries (it ran the domain, or
 	// hardware installed an entry naming it there). Unlike the old
 	// monotonic one-word mask, membership is withdrawn when a CPU is
-	// bulk-invalidated (purgeCPU, rejoin), when a flush-model CPU
+	// bulk-invalidated (purgeSeat, rejoin), when a flush-model CPU
 	// switches away, and when a removal shootdown provably drops the
 	// domain's last entry on a CPU — so shootdowns for domain-keyed
 	// state track live sharers, not the domain's lifetime CPU history.
@@ -460,27 +462,21 @@ type page struct {
 }
 
 // Kernel is a single address space operating system instance bound to
-// one machine per CPU. Construct with New. The mach/plbm/pgm/convm
-// fields always point at the current CPU's machine (see SetCPU); the
-// slices hold every CPU's instance.
+// one machine per CPU. Construct with New. The mach field always points
+// at the current CPU's machine (see SetCPU).
 type Kernel struct {
 	kernel
 	mach       machine.Machine
-	plbm       *machine.PLBMachine
-	pgm        *machine.PGMachine
-	convm      *machine.ConventionalMachine
 	engine     engine
 	pager      Pager
 	execGrants []execGrant
 
-	// Per-CPU machine instances (index = CPU number). machs is always
-	// populated; the model-specific slices are populated for the active
-	// model only (convms also under ModelFlush, holding each flush
-	// machine's inner conventional machine).
-	machs  []machine.Machine
-	plbms  []*machine.PLBMachine
-	pgms   []*machine.PGMachine
-	convms []*machine.ConventionalMachine
+	// machs holds every CPU's machine (index = CPU number).
+	machs []machine.Machine
+	// seats holds every shootdown seat, indexed like the interconnect:
+	// the CPUs' machines followed by the device agents. Protection
+	// maintenance reaches all of them as smp.Requests (smp.go).
+	seats []seat
 
 	// cur is the current CPU; active is the set of CPUs that may hold
 	// live hardware state (ran a domain since their last bulk
@@ -493,7 +489,7 @@ type Kernel struct {
 	// PG-TLB, ASID-TLB or PLB entries) since their last bulk
 	// invalidation. It is a superset of live residency — deliveries
 	// never withdraw (a PLB protection entry or cache line outlives the
-	// translation entry an Unmap drops), only purgeCPU/rejoin and
+	// translation entry an Unmap drops), only purgeSeat/rejoin and
 	// flush-model switch-away do — which keeps page-scoped shootdowns
 	// sound while still tracking sharers, not history. Nil entry = no
 	// sharers.
@@ -505,7 +501,8 @@ type Kernel struct {
 	// the subsystem on).
 	shoot *smp.Shootdown
 	// devs holds the attached device translation agents (device.go);
-	// device i occupies interconnect seat len(machs)+i.
+	// device i occupies interconnect seat len(machs)+i, and is also
+	// seats[len(machs)+i].
 	devs []*iommu.Device
 	// deferDepth counts open DeferShootdowns windows; per-operation IPI
 	// flushing is suspended while it is nonzero (lazy shootdown), and
@@ -618,27 +615,21 @@ func NewChecked(cfg Config) (*Kernel, error) {
 	k.hSegsDestroyed = k.ctrs.Handle("kernel.segments_destroyed")
 	k.hVAReuse = k.ctrs.Handle("kernel.va_reuse")
 	for i := 0; i < cfg.CPUs; i++ {
+		var m machine.Machine
 		switch cfg.Model {
 		case ModelPageGroup:
-			m := machine.NewPG(cfg.PG, k)
-			k.pgms = append(k.pgms, m)
-			k.machs = append(k.machs, m)
+			m = machine.NewPG(cfg.PG, k)
 		case ModelConventional:
-			m := machine.NewConventional(cfg.Conv, k)
-			k.convms = append(k.convms, m)
-			k.machs = append(k.machs, m)
+			m = machine.NewConventional(cfg.Conv, k)
 		case ModelFlush:
-			m := machine.NewFlush(cfg.Conv, k)
-			k.convms = append(k.convms, m.Inner())
-			k.machs = append(k.machs, m)
+			m = machine.NewFlush(cfg.Conv, k)
 		default:
-			m, err := machine.NewPLB(cfg.PLB, k)
-			if err != nil {
+			if m, err = machine.NewPLB(cfg.PLB, k); err != nil {
 				return nil, err
 			}
-			k.plbms = append(k.plbms, m)
-			k.machs = append(k.machs, m)
 		}
+		k.machs = append(k.machs, m)
+		k.seats = append(k.seats, m.(seat))
 	}
 	switch cfg.Model {
 	case ModelPageGroup:
@@ -747,15 +738,6 @@ func (k *Kernel) SetCPU(i int) {
 		k.shoot.SetInitiator(i)
 	}
 	k.mach = k.machs[i]
-	if k.plbms != nil {
-		k.plbm = k.plbms[i]
-	}
-	if k.pgms != nil {
-		k.pgm = k.pgms[i]
-	}
-	if k.convms != nil {
-		k.convm = k.convms[i]
-	}
 }
 
 // Machine returns the current CPU's machine.
@@ -766,41 +748,40 @@ func (k *Kernel) MachineAt(i int) machine.Machine { return k.machs[i] }
 
 // PLBMachine returns the current CPU's PLB machine, or nil under other
 // models.
-func (k *Kernel) PLBMachine() *machine.PLBMachine { return k.plbm }
+func (k *Kernel) PLBMachine() *machine.PLBMachine { return k.PLBMachineAt(k.cur) }
 
 // PLBMachineAt returns CPU i's PLB machine, or nil under other models.
 func (k *Kernel) PLBMachineAt(i int) *machine.PLBMachine {
-	if k.plbms == nil {
-		return nil
-	}
-	return k.plbms[i]
+	m, _ := k.machs[i].(*machine.PLBMachine)
+	return m
 }
 
 // PGMachine returns the current CPU's page-group machine, or nil under
 // other models.
-func (k *Kernel) PGMachine() *machine.PGMachine { return k.pgm }
+func (k *Kernel) PGMachine() *machine.PGMachine { return k.PGMachineAt(k.cur) }
 
 // PGMachineAt returns CPU i's page-group machine, or nil under other
 // models.
 func (k *Kernel) PGMachineAt(i int) *machine.PGMachine {
-	if k.pgms == nil {
-		return nil
-	}
-	return k.pgms[i]
+	m, _ := k.machs[i].(*machine.PGMachine)
+	return m
 }
 
 // ConvMachine returns the current CPU's conventional machine (also the
-// inner machine under ModelFlush), or nil under the single address
+// embedded machine under ModelFlush), or nil under the single address
 // space models.
-func (k *Kernel) ConvMachine() *machine.ConventionalMachine { return k.convm }
+func (k *Kernel) ConvMachine() *machine.ConventionalMachine { return k.ConvMachineAt(k.cur) }
 
 // ConvMachineAt returns CPU i's conventional machine, or nil under the
 // single address space models.
 func (k *Kernel) ConvMachineAt(i int) *machine.ConventionalMachine {
-	if k.convms == nil {
-		return nil
+	switch m := k.machs[i].(type) {
+	case *machine.ConventionalMachine:
+		return m
+	case *machine.FlushMachine:
+		return m.ConventionalMachine
 	}
-	return k.convms[i]
+	return nil
 }
 
 // Geometry returns the translation page geometry.
@@ -824,11 +805,8 @@ func (k *Kernel) Cycles() uint64 { return k.cycles.Total() }
 // plus every device agent's cycles.
 func (k *Kernel) TotalCycles() uint64 {
 	total := k.cycles.Total()
-	for _, m := range k.machs {
-		total += m.Cycles()
-	}
-	for _, dev := range k.devs {
-		total += dev.Cycles()
+	for _, s := range k.seats {
+		total += s.Cycles()
 	}
 	return total
 }
@@ -960,12 +938,8 @@ func (k *Kernel) ExecutorRights(d *Domain, vpn addr.VPN) (addr.Rights, bool) {
 // dropped.
 func (k *Kernel) RecoverHardware() int {
 	n := 0
-	for i := range k.machs {
-		n += k.purgeCPU(i)
-	}
-	for i, dev := range k.devs {
-		n += dev.PurgeAll()
-		k.withdrawCPU(k.DeviceSeat(i))
+	for i := range k.seats {
+		n += k.purgeSeat(i)
 	}
 	if k.shoot != nil {
 		k.shoot.Reset()
@@ -976,29 +950,14 @@ func (k *Kernel) RecoverHardware() int {
 	return n
 }
 
-// purgeCPU flash-clears CPU i's private protection and translation
-// structures and flushes its data cache, returning the number of
-// protection/translation entries dropped. The cache flush is part of
-// the withdrawal proof: virtually-tagged lines satisfy accesses without
-// consulting translation, so a CPU leaving the sharer directory (which
-// stops unmap shootdowns from reaching it) must not keep any.
-func (k *Kernel) purgeCPU(i int) int {
-	n := 0
-	switch {
-	case k.plbms != nil:
-		n += k.plbms[i].PLB().Len()
-		k.plbms[i].PurgeAllPLB()
-		n += k.plbms[i].TLB().PurgeAll()
-		k.plbms[i].FlushDataCache()
-	case k.pgms != nil:
-		n += k.pgms[i].TLB().PurgeAll()
-		n += k.pgms[i].Checker().PurgeAll()
-		k.pgms[i].FlushDataCache()
-	case k.convms != nil:
-		n += k.convms[i].TLB().PurgeAll()
-		k.convms[i].FlushDataCache()
-	}
-	// The CPU provably holds nothing now: withdraw it from the sharer
+// purgeSeat bulk-invalidates seat i (a CPU or a device agent) and
+// returns the number of protection/translation entries dropped. A CPU
+// also flushes its data cache: virtually-tagged lines satisfy accesses
+// without consulting translation, so a CPU leaving the sharer directory
+// (which stops unmap shootdowns from reaching it) must not keep any.
+func (k *Kernel) purgeSeat(i int) int {
+	n := k.seats[i].PurgeAll()
+	// The seat provably holds nothing now: withdraw it from the sharer
 	// directory so no further shootdowns target it until it reinstalls.
 	k.withdrawCPU(i)
 	return n
@@ -1011,7 +970,7 @@ func (k *Kernel) purgeCPU(i int) int {
 // still queued for it are discarded as moot. Charges one trap. Returns
 // the number of entries dropped.
 func (k *Kernel) RecoverCPU(i int) int {
-	n := k.purgeCPU(i)
+	n := k.purgeSeat(i)
 	if k.shoot != nil {
 		k.shoot.DropPending(i)
 	}
@@ -1074,11 +1033,12 @@ func (k *Kernel) ConvergenceBound() uint64 {
 	}
 	p := k.shoot.Protocol()
 	c := k.costs()
-	// Worst-case cost of one request apply or one bulk invalidation:
-	// inspect/remove every resident entry, plus (for unmaps) flushing a
+	// Worst-case cost of one request apply or one bulk invalidation on
+	// a CPU (all are configured alike): inspect/remove every resident
+	// entry, plus (for unmaps) flushing a
 	// page of cache lines — PageSize/16 over-counts lines for any real
 	// line size.
-	scan := uint64(k.cpuStructCapacity())*(c.PurgeEntry+c.Install) +
+	scan := uint64(k.seats[0].Capacity())*(c.PurgeEntry+c.Install) +
 		(k.geo.PageSize()/16)*c.CacheLineFlush
 	// Mesh surcharges at worst-case distance: every IPI may cross the
 	// full diameter, and every applied request may reach a maximally
@@ -1110,21 +1070,6 @@ func (k *Kernel) ConvergenceBound() uint64 {
 		bound += c.Trap + devScan
 	}
 	return bound
-}
-
-// cpuStructCapacity returns the total entry capacity of one CPU's
-// private protection and translation structures (identically
-// configured on every CPU).
-func (k *Kernel) cpuStructCapacity() int {
-	switch {
-	case k.plbms != nil:
-		return k.plbms[0].PLB().Capacity() + k.plbms[0].TLB().Capacity()
-	case k.pgms != nil:
-		return k.pgms[0].TLB().Capacity() + k.pgms[0].Checker().Capacity()
-	case k.convms != nil:
-		return k.convms[0].TLB().Capacity()
-	}
-	return 0
 }
 
 // FindSegment returns the segment containing va, or nil.

@@ -2,14 +2,21 @@ package kernel
 
 import (
 	"repro/internal/addr"
+	"repro/internal/iommu"
+	"repro/internal/machine"
 	"repro/internal/smp"
 )
 
-// Shootdown integration: the kernel is the smp.Handler — it maps
-// delivered requests onto the target CPU's machine — and the protection
-// engines are the producers. Targeting comes from the sharer directory
-// (directory.go), which tracks live installs rather than lifetime
-// history:
+// Shootdown integration: the protection engines produce smp.Requests,
+// and every seat — a CPU's machine or a device agent — applies them
+// itself. An engine operation applies its request on the current CPU
+// and enqueues the same value for the remote seats that may hold the
+// state (maintainDomain, maintainPage, maintainRange,
+// maintainExecuting); the kernel is the smp.Handler that hands a
+// delivered request to its seat and then runs the one residency
+// withdrawal policy for CPUs and devices alike. Targeting comes from
+// the sharer directory (directory.go), which tracks live installs
+// rather than lifetime history:
 //
 //   - Domain-keyed state (PLB entries, ASID-tagged TLB entries) goes to
 //     the domain's residency set — CPUs where hardware installed an
@@ -21,19 +28,60 @@ import (
 //     currently executing the domain.
 //   - Translation and page-group TLB state is domain-agnostic but
 //     page-keyed: unmaps and regroups go to the page's sharer set
-//     (shootPage/shootRange), not to every CPU that ever ran anything.
+//     (maintainPage/maintainRange), not to every CPU that ever ran
+//     anything.
 //
 // Every kernel-level protection operation enqueues its remote work and
 // then flushes once, so all requests raised by one operation share one
 // IPI per target CPU (batching), with identical requests coalesced.
 
-// shootDomain enqueues r for every remote CPU that may cache domain d's
-// protection entries.
+// seat is one shootdown target: a CPU's machine or a device agent. It
+// applies requests to its own structures (Apply), bulk-invalidates them
+// (PurgeAll), answers the withdrawal scan (HasDomainEntries) and sizes
+// the convergence bound (Capacity), on its own clock (Cycles).
+type seat interface {
+	Apply(smp.Request) int
+	PurgeAll() int
+	HasDomainEntries(addr.DomainID) bool
+	Capacity() int
+	Cycles() uint64
+}
+
+var (
+	_ seat = (*machine.PLBMachine)(nil)
+	_ seat = (*machine.PGMachine)(nil)
+	_ seat = (*machine.ConventionalMachine)(nil)
+	_ seat = (*machine.FlushMachine)(nil)
+	_ seat = (*iommu.Device)(nil)
+)
+
+// maintainDomain applies r for domain d on the current CPU and enqueues
+// it for every remote seat that may cache d's protection entries.
+func (k *Kernel) maintainDomain(d *Domain, r smp.Request) {
+	r.Domain = d.ID
+	k.seats[k.cur].Apply(r)
+	k.shootDomain(d, r)
+}
+
+// purgeDomain drops every protection entry naming the dying domain d:
+// one DomainPurge locally, when the directory says this CPU holds d's
+// entries, and one per remote sharer seat — the destroy cost scales
+// with actual sharers, not machine size.
+func (k *Kernel) purgeDomain(d *Domain) {
+	r := smp.Request{Kind: smp.DomainPurge, Domain: d.ID}
+	if d.cpus.Has(k.cur) {
+		k.seats[k.cur].Apply(r)
+		d.cpus.Remove(k.cur)
+	}
+	k.shootDomain(d, r)
+}
+
+// shootDomain enqueues r for every remote seat that may cache domain
+// d's protection entries.
 func (k *Kernel) shootDomain(d *Domain, r smp.Request) {
 	if k.shoot == nil {
 		return
 	}
-	r.Domain = d.ID
 	d.cpus.ForEach(func(i int) {
 		if i != k.cur {
 			k.enqueueShoot(i, r)
@@ -58,14 +106,15 @@ func (k *Kernel) enqueueShoot(i int, r smp.Request) {
 	k.shoot.Enqueue(i, r)
 }
 
-// shootExecuting enqueues r for every remote CPU currently executing
-// domain d (checker state is rebuilt on switch, so only executing CPUs
-// hold it).
-func (k *Kernel) shootExecuting(d *Domain, r smp.Request) {
+// maintainExecuting applies r for domain d on the current CPU and
+// enqueues it for every remote CPU currently executing d (checker state
+// is rebuilt on switch, so only executing CPUs hold it).
+func (k *Kernel) maintainExecuting(d *Domain, r smp.Request) {
+	r.Domain = d.ID
+	k.seats[k.cur].Apply(r)
 	if k.shoot == nil {
 		return
 	}
-	r.Domain = d.ID
 	for i := range k.machs {
 		if i != k.cur && k.machs[i].Domain() == d.ID {
 			k.enqueueShoot(i, r)
@@ -79,11 +128,6 @@ func (k *Kernel) shootExecuting(d *Domain, r smp.Request) {
 		}
 	}
 }
-
-// markInstalled records that domain d's rights were installed on the
-// current CPU outside a switch (eager installs), so future shootdowns
-// reach this CPU too.
-func (k *Kernel) markInstalled(d *Domain) { d.cpus.Add(k.cur) }
 
 // flushIPIs delivers all pending shootdown batches: one IPI per target
 // CPU. Called at the end of every kernel operation that enqueued
@@ -175,90 +219,26 @@ func (k *Kernel) PendingShootdowns(i int) int {
 	return k.shoot.Pending(i)
 }
 
-// ApplyShootdown implements smp.Handler: perform r on CPU cpu's
-// machine and report how many resident entries were touched. Removal
-// kinds that can drop a domain's last hardware entry on the target
-// (single-entry invalidates, detach scans, full purges) re-scan the
-// structure afterwards and withdraw the target from the domain's
-// residency set when nothing is left — the step that keeps residency
-// tracking live sharers instead of growing monotonically.
-func (k *Kernel) ApplyShootdown(cpu int, r smp.Request) int {
-	if cpu >= len(k.machs) {
-		// Device seat: the request lands on the device's IOTLB.
-		return k.applyDeviceShootdown(cpu, r)
+// ApplyShootdown implements smp.Handler: seat t — a CPU's machine or
+// a device agent — applies r to its own structures, reporting how many
+// resident entries were touched. Then one withdrawal policy runs for
+// CPUs and devices alike: removal kinds that can drop a domain's last
+// entry on the seat (single-entry invalidates, detach scans, group
+// revocations, domain purges) re-scan it and withdraw t from the
+// domain's residency set when nothing is left, and a flash clear
+// withdraws t from every domain — the step that keeps residency
+// tracking live sharers instead of growing monotonically. The current
+// CPU's own applies (maintainDomain and friends) skip this policy.
+func (k *Kernel) ApplyShootdown(t int, r smp.Request) int {
+	n := k.seats[t].Apply(r)
+	switch r.Kind {
+	case smp.InvalRights, smp.RangeDetach, smp.GroupRevoke, smp.DomainPurge:
+		k.withdrawIfEmpty(t, r.Domain)
+	case smp.PurgeAllProt:
+		k.doms.forEach(func(dom *Domain) { dom.cpus.Remove(t) })
 	}
-	switch {
-	case k.pgms != nil:
-		m := k.pgms[cpu]
-		switch r.Kind {
-		case smp.Unmap:
-			return m.UnmapPage(r.VPN)
-		case smp.GroupLoad:
-			return m.AttachGroup(r.Domain, r.Group, r.WD)
-		case smp.GroupRevoke:
-			return m.DetachGroup(r.Domain, r.Group)
-		case smp.GroupUpdate:
-			return m.UpdatePage(r.VPN, r.Group, r.Rights)
-		}
-	case k.convms != nil:
-		m := k.convms[cpu]
-		as := addr.ASID(r.Domain)
-		switch r.Kind {
-		case smp.InvalRights:
-			n := m.InvalidateEntry(as, r.VPN)
-			k.withdrawIfEmpty(cpu, r.Domain)
-			return n
-		case smp.UpdateRights:
-			return m.SetRights(as, r.VPN, r.Rights)
-		case smp.DomainPurge:
-			n := m.PurgeASID(as)
-			k.withdrawIfEmpty(cpu, r.Domain)
-			return n
-		case smp.PurgePage:
-			return m.InvalidatePage(r.VPN)
-		case smp.Unmap:
-			return m.UnmapPage(r.VPN)
-		}
-	case k.plbms != nil:
-		m := k.plbms[cpu]
-		switch r.Kind {
-		case smp.InvalRights:
-			n := m.InvalidateRights(r.Domain, k.geo.Base(r.VPN))
-			k.withdrawIfEmpty(cpu, r.Domain)
-			return n
-		case smp.UpdateRights:
-			return m.UpdateRights(r.Domain, k.geo.Base(r.VPN), r.Rights)
-		case smp.RangeRights:
-			return m.UpdateRange(r.Domain, r.Range.Start, r.Range.Length, r.Rights)
-		case smp.RangeDetach:
-			n := m.DetachRange(r.Domain, r.Range.Start, r.Range.Length)
-			k.withdrawIfEmpty(cpu, r.Domain)
-			return n
-		case smp.RangePurge:
-			return m.PLB().PurgeRangeAll(r.Range.Start, r.Range.Length)
-		case smp.DomainPurge:
-			n := m.PurgeDomain(r.Domain)
-			k.withdrawIfEmpty(cpu, r.Domain)
-			return n
-		case smp.PurgeAllProt:
-			n := m.PurgeAllPLB()
-			// Flash-clear: no domain has PLB entries on cpu any more.
-			k.doms.forEach(func(dom *Domain) { dom.cpus.Remove(cpu) })
-			return n
-		case smp.PurgePage:
-			return m.PurgePage(k.geo.Base(r.VPN))
-		case smp.Unmap:
-			return m.UnmapPage(r.VPN)
-		}
-	}
-	return 0
+	return n
 }
 
-// CPUCycles implements smp.Handler: a device seat reports the device
-// agent's clock, a CPU seat its machine's.
-func (k *Kernel) CPUCycles(cpu int) uint64 {
-	if dev := k.deviceAt(cpu); dev != nil {
-		return dev.Cycles()
-	}
-	return k.machs[cpu].Cycles()
-}
+// CPUCycles implements smp.Handler: seat t's own clock.
+func (k *Kernel) CPUCycles(t int) uint64 { return k.seats[t].Cycles() }

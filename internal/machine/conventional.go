@@ -5,6 +5,7 @@ import (
 	"repro/internal/assoc"
 	"repro/internal/cache"
 	"repro/internal/cpu"
+	"repro/internal/smp"
 	"repro/internal/stats"
 	"repro/internal/tlb"
 )
@@ -215,53 +216,60 @@ func (m *ConventionalMachine) Access(va addr.VA, kind addr.AccessKind) cpu.Outco
 	return cpu.Outcome{}
 }
 
-// InvalidatePage purges every address space's TLB entry for vpn — what a
-// mapping change to a shared page costs on this architecture (the scan of
-// Section 3.1).
-func (m *ConventionalMachine) InvalidatePage(vpn addr.VPN) int {
-	n := m.tlb.PurgePage(vpn)
-	// An entry-by-entry hardware scan inspects every TLB slot, valid or
-	// not, so the charge covers the full capacity.
-	m.cycles.Add(uint64(m.tlb.Capacity()) * m.cfg.Costs.PurgeEntry)
-	return n
-}
-
-// SetRights updates the resident TLB entry for (as, vpn); absent entries
-// refill from the page tables on next touch.
-func (m *ConventionalMachine) SetRights(as addr.ASID, vpn addr.VPN, r addr.Rights) int {
-	if e, ok := m.tlb.Lookup(as, vpn); ok {
-		e.Rights = r
-		m.tlb.Insert(as, vpn, e)
-		m.cycles.Add(m.cfg.Costs.Install)
-		return 1
+// Apply performs one protection-maintenance request on this CPU's
+// structures (see PLBMachine.Apply). Domain-keyed kinds name the
+// domain's address space, ASID(r.Domain).
+func (m *ConventionalMachine) Apply(r smp.Request) int {
+	c := &m.cfg.Costs
+	as := addr.ASID(r.Domain)
+	switch r.Kind {
+	case smp.InvalRights:
+		// Drop one space's TLB entry for the page (detach and
+		// per-space protection revocation).
+		if m.tlb.Invalidate(as, r.VPN) {
+			m.cycles.Add(c.PurgeEntry)
+			return 1
+		}
+	case smp.UpdateRights:
+		// Update the resident (as, page) entry; absent entries refill
+		// from the page tables on next touch.
+		if e, ok := m.tlb.Lookup(as, r.VPN); ok {
+			e.Rights = r.Rights
+			m.tlb.Insert(as, r.VPN, e)
+			m.cycles.Add(c.Install)
+			return 1
+		}
+	case smp.DomainPurge:
+		// Drop every TLB entry tagged with the space — the
+		// address-space teardown primitive (domain destroy). One
+		// full-TLB scan replaces the per-page InvalRights storm a
+		// destroy would otherwise issue. An entry-by-entry hardware
+		// scan inspects every TLB slot, valid or not, so this and the
+		// other scans charge full capacity.
+		return m.scan(m.tlb.PurgeAS(as))
+	case smp.PurgePage:
+		// Purge every address space's TLB entry for the page — what a
+		// mapping change to a shared page costs on this architecture
+		// (the scan of Section 3.1).
+		return m.scan(m.tlb.PurgePage(r.VPN))
+	case smp.Unmap:
+		// Every address space's TLB entry must be found and purged
+		// (the duplicated-purge cost of Section 3.1), and the page's
+		// cache lines flushed.
+		return m.unmapPage(r.VPN)
 	}
 	return 0
 }
 
-// PurgeASID drops every TLB entry tagged with address space as — the
-// address-space teardown primitive (domain destroy). One full-TLB scan
-// replaces the per-page InvalidateEntry storm a destroy would otherwise
-// issue, so the charge covers the full capacity once.
-func (m *ConventionalMachine) PurgeASID(as addr.ASID) int {
-	n := m.tlb.PurgeAS(as)
+// scan charges one full-TLB scan and passes n through.
+func (m *ConventionalMachine) scan(n int) int {
 	m.cycles.Add(uint64(m.tlb.Capacity()) * m.cfg.Costs.PurgeEntry)
 	return n
 }
 
-// InvalidateEntry drops one space's TLB entry for vpn (detach and
-// per-space protection revocation).
-func (m *ConventionalMachine) InvalidateEntry(as addr.ASID, vpn addr.VPN) int {
-	if m.tlb.Invalidate(as, vpn) {
-		m.cycles.Add(m.cfg.Costs.PurgeEntry)
-		return 1
-	}
-	return 0
-}
-
-// UnmapPage destroys the translation for vpn: every address space's TLB
-// entry must be found and purged (the duplicated-purge cost of Section
-// 3.1), and the page's cache lines flushed.
-func (m *ConventionalMachine) UnmapPage(vpn addr.VPN) int {
+// unmapPage is the Unmap request on the combined TLB and either data
+// cache organization.
+func (m *ConventionalMachine) unmapPage(vpn addr.VPN) int {
 	c := &m.cfg.Costs
 	// The flush needs the physical frame before the mapping disappears.
 	var pfn addr.PFN
@@ -271,8 +279,7 @@ func (m *ConventionalMachine) UnmapPage(vpn addr.VPN) int {
 			pfn, havePFN = pte.PFN, true
 		}
 	}
-	n := m.tlb.PurgePage(vpn)
-	m.cycles.Add(uint64(m.tlb.Capacity()) * c.PurgeEntry)
+	n := m.scan(m.tlb.PurgePage(vpn))
 	var dirty int
 	if m.vipt != nil {
 		if havePFN {
@@ -286,21 +293,36 @@ func (m *ConventionalMachine) UnmapPage(vpn addr.VPN) int {
 	return n
 }
 
-// FlushDataCache flushes every line of the data cache (virtual or
-// VIPT), charging the per-line flush and writeback costs. Lines left
-// by mappings the CPU no longer holds would otherwise survive a bulk
-// invalidation: unmap shootdowns flush them when delivered, and a CPU
-// withdrawn from the sharer directory stops receiving those.
-func (m *ConventionalMachine) FlushDataCache() int {
-	var flushed, dirty int
-	if m.vipt != nil {
-		flushed, dirty = m.vipt.FlushAll()
-	} else {
-		flushed, dirty = m.cache.FlushAll()
+// PurgeAll clears the TLB and flushes the data cache (virtual or
+// VIPT), returning the TLB entries dropped. Lines left by mappings the
+// CPU no longer holds would otherwise survive the bulk invalidation:
+// unmap requests flush them when delivered, and a CPU withdrawn from
+// the sharer directory stops receiving those.
+func (m *ConventionalMachine) PurgeAll() int {
+	n := m.tlb.PurgeAll()
+	if m.vipt == nil {
+		flushVIVT(m.cache, &m.cfg.Costs, &m.cycles)
+		return n
 	}
+	flushed, dirty := m.vipt.FlushAll()
 	m.cycles.Add(uint64(flushed)*m.cfg.Costs.CacheLineFlush + uint64(dirty)*m.cfg.Costs.Writeback)
-	return flushed
+	return n
 }
+
+// HasDomainEntries reports whether the TLB still holds an entry tagged
+// with d's address space.
+func (m *ConventionalMachine) HasDomainEntries(d addr.DomainID) bool {
+	found := false
+	as := addr.ASID(d)
+	m.tlb.ForEach(func(key tlb.ASIDKey, _ tlb.ASIDEntry) bool {
+		found = key.AS == as
+		return !found
+	})
+	return found
+}
+
+// Capacity returns the TLB's entry capacity.
+func (m *ConventionalMachine) Capacity() int { return m.tlb.Capacity() }
 
 // Geometry returns the machine's translation page geometry.
 func (m *ConventionalMachine) Geometry() addr.Geometry { return m.cfg.Geometry }
@@ -310,9 +332,13 @@ var _ Machine = (*ConventionalMachine)(nil)
 // FlushMachine is a conventional machine without address space
 // identifiers: homonyms make both the TLB and the virtual cache unusable
 // across a context switch, so both are flushed on every switch — the
-// regime the paper cites for the i860 (Section 2.2).
+// regime the paper cites for the i860 (Section 2.2). It shares the
+// embedded conventional machine's structures, access path and
+// maintenance; only its name and switch behaviour differ. With the TLB
+// and cache flushed per switch, every ASID sees only its own entries,
+// so the ASID tagging is harmless: homonymous entries never coexist.
 type FlushMachine struct {
-	inner *ConventionalMachine
+	*ConventionalMachine
 }
 
 // NewFlush builds a flush machine. The configuration's cache must not use
@@ -320,59 +346,28 @@ type FlushMachine struct {
 func NewFlush(cfg ConvConfig, os MultiOS) *FlushMachine {
 	cfg.Cache.ASIDTags = false
 	cfg.CacheOrg = ConvCacheVIVTASID // flushing presumes the virtual cache
-	return &FlushMachine{inner: NewConventional(cfg, os)}
+	return &FlushMachine{NewConventional(cfg, os)}
 }
 
 // Name implements Machine.
 func (m *FlushMachine) Name() string { return "flush" }
 
-// Domain implements Machine.
-func (m *FlushMachine) Domain() addr.DomainID { return m.inner.domain }
-
-// Counters implements Machine.
-func (m *FlushMachine) Counters() *stats.Counters { return &m.inner.ctrs }
-
-// Cycles implements Machine.
-func (m *FlushMachine) Cycles() uint64 { return m.inner.cycles.Total() }
-
-// Costs implements Machine.
-func (m *FlushMachine) Costs() cpu.CostModel { return m.inner.cfg.Costs }
-
-// Cache exposes the data cache for inspection.
-func (m *FlushMachine) Cache() *cache.VirtualCache { return m.inner.cache }
-
-// Inner exposes the wrapped conventional machine, through which the
-// kernel's conventional engine performs TLB maintenance and the oracle
-// inspects resident state. The flush machine shares the conventional
-// machine's structures; only its switch behaviour differs.
-func (m *FlushMachine) Inner() *ConventionalMachine { return m.inner }
-
-// TLB exposes the TLB for inspection.
-func (m *FlushMachine) TLB() *tlb.ASIDTLB { return m.inner.tlb }
-
 // SwitchDomain implements Machine: everything goes.
 func (m *FlushMachine) SwitchDomain(d addr.DomainID) {
-	c := &m.inner.cfg.Costs
-	if d == m.inner.domain {
+	c := &m.cfg.Costs
+	if d == m.domain {
 		return
 	}
-	purged := m.inner.tlb.PurgeAll()
-	flushed, dirty := m.inner.cache.FlushAll()
+	purged := m.tlb.PurgeAll()
+	flushed, dirty := m.cache.FlushAll()
 	cost := c.RegisterWrite +
 		uint64(purged)*c.PurgeEntry +
 		uint64(flushed)*c.CacheLineFlush +
 		uint64(dirty)*c.Writeback
-	m.inner.domain = d
-	m.inner.hSwitches.Inc()
-	m.inner.hSwitchCycles.Add(cost)
-	m.inner.cycles.Add(cost)
-}
-
-// Access implements Machine. With the TLB and cache flushed per switch,
-// every ASID sees only its own entries; the inner machine's ASID tagging
-// is harmless because homonymous entries never coexist.
-func (m *FlushMachine) Access(va addr.VA, kind addr.AccessKind) cpu.Outcome {
-	return m.inner.Access(va, kind)
+	m.domain = d
+	m.hSwitches.Inc()
+	m.hSwitchCycles.Add(cost)
+	m.cycles.Add(cost)
 }
 
 var _ Machine = (*FlushMachine)(nil)

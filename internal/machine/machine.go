@@ -24,10 +24,18 @@
 // charge cycles, trapping to an OS interface to resolve misses. They never
 // move data; the kernel performs functional reads/writes against physical
 // memory after the machine approves an access.
+//
+// Protection maintenance reaches a machine only as an smp.Request: each
+// machine's Apply maps the request kinds of Table 1 onto its own
+// structures, and PurgeAll is its bulk invalidation. The kernel applies
+// a request on the local CPU and ships the same value to remote CPUs
+// and device agents (package iommu), which apply it the same way, so
+// every seat pays the same maintenance for the same operation.
 package machine
 
 import (
 	"repro/internal/addr"
+	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/ptable"
 	"repro/internal/stats"
@@ -137,3 +145,26 @@ const (
 	CtrSwitches        = "switch.count"
 	CtrSwitchCycles    = "switch.cycles"
 )
+
+// unmapPage finishes an Unmap on a machine whose translation lives in a
+// TLB beside a VIVT cache (PLB and page-group): dropped reports whether
+// the TLB held the page's entry, and the page's lines are flushed from
+// the cache. It returns the number of TLB entries dropped.
+func unmapPage(dropped bool, vc *cache.VirtualCache, vpn addr.VPN, g addr.Geometry, c *cpu.CostModel, cycles *stats.Cycles) int {
+	n := 0
+	if dropped {
+		cycles.Add(c.PurgeEntry)
+		n = 1
+	}
+	_, dirty := vc.FlushPage(g.Base(vpn), g)
+	cycles.Add(uint64(vc.LinesPerPage(g)) * c.CacheLineFlush)
+	cycles.Add(uint64(dirty) * c.Writeback)
+	return n
+}
+
+// flushVIVT flushes every line of a VIVT data cache, charging the
+// per-line flush and writeback costs.
+func flushVIVT(vc *cache.VirtualCache, c *cpu.CostModel, cycles *stats.Cycles) {
+	flushed, dirty := vc.FlushAll()
+	cycles.Add(uint64(flushed)*c.CacheLineFlush + uint64(dirty)*c.Writeback)
+}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/cpu"
 	"repro/internal/ptable"
+	"repro/internal/smp"
 )
 
 // fakeOS is a table-driven OS for machine tests.
@@ -234,7 +235,7 @@ func TestPLBUpdateRightsAffectsOneDomain(t *testing.T) {
 	// Revoke domain 1's write access in the PLB (kernel-side tables are
 	// the fake's responsibility; here we check hardware behaviour).
 	os.grant(1, 1, addr.Read)
-	m.UpdateRights(1, va(1), addr.Read)
+	m.Apply(smp.Request{Kind: smp.UpdateRights, Domain: 1, VPN: 1, Rights: addr.Read})
 	m.SwitchDomain(1)
 	if out := m.Access(va(1), addr.Store); out.Fault != cpu.FaultProtection {
 		t.Fatal("revoked write allowed")
@@ -259,7 +260,7 @@ func TestPLBDetachRange(t *testing.T) {
 	if m.PLB().Len() != 4 {
 		t.Fatalf("PLB len = %d", m.PLB().Len())
 	}
-	m.DetachRange(1, va(1), 2*page)
+	m.Apply(smp.Request{Kind: smp.RangeDetach, Domain: 1, Range: addr.Range{Start: va(1), Length: 2 * page}})
 	if m.PLB().Len() != 2 {
 		t.Fatalf("PLB len after detach = %d", m.PLB().Len())
 	}
@@ -276,7 +277,7 @@ func TestPLBUnmapPage(t *testing.T) {
 		t.Fatal("setup failed")
 	}
 	delete(os.trans, 1)
-	m.UnmapPage(1)
+	m.Apply(smp.Request{Kind: smp.Unmap, VPN: 1})
 	if m.TLB().Len() != 0 || m.Cache().Len() != 0 {
 		t.Fatal("unmap left residue")
 	}
@@ -431,7 +432,7 @@ func TestPGUpdatePageMovesGroup(t *testing.T) {
 	m.Access(va(1), addr.Load)
 	// Kernel moves the page to group 9, which domain 1 cannot access.
 	os.setPage(1, 7, 9, addr.RW)
-	m.UpdatePage(1, 9, addr.RW)
+	m.Apply(smp.Request{Kind: smp.GroupUpdate, VPN: 1, Group: 9, Rights: addr.RW})
 	if out := m.Access(va(1), addr.Load); out.Fault != cpu.FaultProtection {
 		t.Fatalf("fault = %v, want protection after group move", out.Fault)
 	}
@@ -472,7 +473,7 @@ func TestPGUnmapPage(t *testing.T) {
 	m.Access(va(1), addr.Store)
 	delete(os.trans, 1)
 	delete(os.groups, 1)
-	m.UnmapPage(1)
+	m.Apply(smp.Request{Kind: smp.Unmap, VPN: 1})
 	if m.TLB().Len() != 0 || m.Cache().Len() != 0 {
 		t.Fatal("unmap left residue")
 	}
@@ -555,7 +556,7 @@ func TestConventionalInvalidatePage(t *testing.T) {
 		m.SwitchDomain(d)
 		m.Access(va(1), addr.Load)
 	}
-	m.InvalidatePage(1)
+	m.Apply(smp.Request{Kind: smp.PurgePage, VPN: 1})
 	if m.TLB().Len() != 0 {
 		t.Fatalf("TLB entries after invalidate = %d", m.TLB().Len())
 	}
@@ -673,7 +674,7 @@ func TestVIPTUnmapFlushes(t *testing.T) {
 	if m.VIPTCache().Len() != 1 {
 		t.Fatal("setup failed")
 	}
-	m.UnmapPage(1)
+	m.Apply(smp.Request{Kind: smp.Unmap, VPN: 1})
 	if m.VIPTCache().Len() != 0 {
 		t.Fatal("unmap left VIPT residue")
 	}
@@ -693,17 +694,17 @@ func TestScanOpsChargeFullCapacity(t *testing.T) {
 		m.Access(va(1), addr.Load) // one valid entry out of 128
 		scan := uint64(m.PLB().Capacity()) * m.Costs().PurgeEntry
 		before := m.Cycles()
-		m.UpdateRange(1, va(0), 4*page, addr.Read)
+		m.Apply(smp.Request{Kind: smp.RangeRights, Domain: 1, Range: addr.Range{Start: va(0), Length: 4 * page}, Rights: addr.Read})
 		if got := m.Cycles() - before; got != scan {
-			t.Fatalf("UpdateRange charged %d cycles, want capacity scan %d", got, scan)
+			t.Fatalf("RangeRights charged %d cycles, want capacity scan %d", got, scan)
 		}
 		before = m.Cycles()
-		m.DetachRange(1, va(0), 4*page)
+		m.Apply(smp.Request{Kind: smp.RangeDetach, Domain: 1, Range: addr.Range{Start: va(0), Length: 4 * page}})
 		if got := m.Cycles() - before; got != scan {
-			t.Fatalf("DetachRange charged %d cycles, want capacity scan %d", got, scan)
+			t.Fatalf("RangeDetach charged %d cycles, want capacity scan %d", got, scan)
 		}
 		before = m.Cycles()
-		m.PurgePage(va(1))
+		m.Apply(smp.Request{Kind: smp.PurgePage, VPN: 1})
 		if got := m.Cycles() - before; got != scan {
 			t.Fatalf("PurgePage charged %d cycles, want capacity scan %d", got, scan)
 		}
@@ -716,9 +717,9 @@ func TestScanOpsChargeFullCapacity(t *testing.T) {
 		m.Access(va(1), addr.Load)
 		scan := uint64(m.TLB().Capacity()) * m.Costs().PurgeEntry
 		before := m.Cycles()
-		m.InvalidatePage(1)
+		m.Apply(smp.Request{Kind: smp.PurgePage, VPN: 1})
 		if got := m.Cycles() - before; got != scan {
-			t.Fatalf("InvalidatePage charged %d cycles, want capacity scan %d", got, scan)
+			t.Fatalf("PurgePage charged %d cycles, want capacity scan %d", got, scan)
 		}
 	})
 }

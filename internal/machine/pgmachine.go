@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/pgroup"
+	"repro/internal/smp"
 	"repro/internal/stats"
 	"repro/internal/tlb"
 )
@@ -231,71 +232,66 @@ func (m *PGMachine) Access(va addr.VA, kind addr.AccessKind) cpu.Outcome {
 	return cpu.Outcome{}
 }
 
-// Maintenance operations used by the kernel's page-group protection
-// engine.
-
-// UpdatePage rewrites the resident TLB entry for vpn — changing its
-// rights field or moving it to another page-group. One entry serves all
-// domains, which is what makes all-domain changes cheap (Section 4.1.2).
-func (m *PGMachine) UpdatePage(vpn addr.VPN, aid addr.GroupID, rights addr.Rights) int {
-	pfn, ok := m.os.Translate(vpn)
-	if !ok {
-		// No translation: nothing can be resident.
-		return 0
-	}
-	if m.tlb.Update(vpn, tlb.PGEntry{PFN: pfn, AID: aid, Rights: rights}) {
-		m.cycles.Add(m.cfg.Costs.Install)
-		return 1
-	}
-	return 0
-}
-
-// AttachGroup loads group g into the checker if d is the executing domain
-// (a newly attached segment's group becomes visible immediately;
-// otherwise it loads on the domain's next run).
-func (m *PGMachine) AttachGroup(d addr.DomainID, g addr.GroupID, writeDisabled bool) int {
-	if d == m.domain {
-		m.checker.Load(g, writeDisabled)
-		m.cycles.Add(m.cfg.Costs.Install)
-		return 1
-	}
-	return 0
-}
-
-// DetachGroup removes group g from the checker if d is the executing
-// domain (segment detach: one group purge, no scan — the page-group
-// model's cheap detach of Section 4.1.1).
-func (m *PGMachine) DetachGroup(d addr.DomainID, g addr.GroupID) int {
-	if d == m.domain && m.checker.Remove(g) {
-		m.cycles.Add(m.cfg.Costs.PurgeEntry)
-		return 1
-	}
-	return 0
-}
-
-// UnmapPage destroys the translation for vpn: the TLB entry is
-// invalidated and the page's cache lines flushed (Section 4.1.3).
-func (m *PGMachine) UnmapPage(vpn addr.VPN) int {
+// Apply performs one protection-maintenance request on this CPU's
+// structures (see PLBMachine.Apply); kinds the page-group engine never
+// issues touch nothing.
+func (m *PGMachine) Apply(r smp.Request) int {
 	c := &m.cfg.Costs
-	n := 0
-	if m.tlb.Invalidate(vpn) {
-		m.cycles.Add(c.PurgeEntry)
-		n = 1
+	switch r.Kind {
+	case smp.GroupUpdate:
+		// Rewrite the resident TLB entry for the page — changing its
+		// rights field or moving it to another page-group. One entry
+		// serves all domains, which is what makes all-domain changes
+		// cheap (Section 4.1.2).
+		pfn, ok := m.os.Translate(r.VPN)
+		if !ok {
+			// No translation: nothing can be resident.
+			return 0
+		}
+		if m.tlb.Update(r.VPN, tlb.PGEntry{PFN: pfn, AID: r.Group, Rights: r.Rights}) {
+			m.cycles.Add(c.Install)
+			return 1
+		}
+	case smp.GroupLoad:
+		// Load the group into the checker if d is the executing domain
+		// (a newly attached segment's group becomes visible
+		// immediately; otherwise it loads on the domain's next run).
+		if r.Domain == m.domain {
+			m.checker.Load(r.Group, r.WD)
+			m.cycles.Add(c.Install)
+			return 1
+		}
+	case smp.GroupRevoke:
+		// Remove the group from the checker if d is the executing
+		// domain (segment detach: one group purge, no scan — the
+		// page-group model's cheap detach of Section 4.1.1).
+		if r.Domain == m.domain && m.checker.Remove(r.Group) {
+			m.cycles.Add(c.PurgeEntry)
+			return 1
+		}
+	case smp.Unmap:
+		// The TLB entry goes and the page's cache lines are flushed
+		// (Section 4.1.3).
+		return unmapPage(m.tlb.Invalidate(r.VPN), m.cache, r.VPN, m.cfg.Geometry, c, &m.cycles)
 	}
-	_, dirty := m.cache.FlushPage(m.cfg.Geometry.Base(vpn), m.cfg.Geometry)
-	m.cycles.Add(uint64(m.cache.LinesPerPage(m.cfg.Geometry)) * c.CacheLineFlush)
-	m.cycles.Add(uint64(dirty) * c.Writeback)
+	return 0
+}
+
+// PurgeAll clears the TLB and the checker and flushes the data cache
+// (see PLBMachine.PurgeAll), returning the TLB and checker entries
+// dropped.
+func (m *PGMachine) PurgeAll() int {
+	n := m.tlb.PurgeAll() + m.checker.PurgeAll()
+	flushVIVT(m.cache, &m.cfg.Costs, &m.cycles)
 	return n
 }
 
-// FlushDataCache flushes every line of the VIVT data cache, charging
-// the per-line flush and writeback costs (see PLBMachine.FlushDataCache:
-// virtually-tagged lines hit without translation, so bulk invalidation
-// must cover them).
-func (m *PGMachine) FlushDataCache() int {
-	flushed, dirty := m.cache.FlushAll()
-	m.cycles.Add(uint64(flushed)*m.cfg.Costs.CacheLineFlush + uint64(dirty)*m.cfg.Costs.Writeback)
-	return flushed
-}
+// HasDomainEntries always reports true: page-group hardware holds no
+// per-domain entries to scan (the checker targets by executing domain,
+// not residency), so withdrawal waits for a bulk invalidation.
+func (m *PGMachine) HasDomainEntries(addr.DomainID) bool { return true }
+
+// Capacity returns the entry capacity of the TLB plus the checker.
+func (m *PGMachine) Capacity() int { return m.tlb.Capacity() + m.checker.Capacity() }
 
 var _ Machine = (*PGMachine)(nil)

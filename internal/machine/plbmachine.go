@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/plb"
+	"repro/internal/smp"
 	"repro/internal/stats"
 	"repro/internal/tlb"
 )
@@ -215,22 +216,6 @@ func (m *PLBMachine) translate(vpn addr.VPN) (addr.PFN, bool) {
 	return pfn, true
 }
 
-// Maintenance operations used by the kernel's domain-page protection
-// engine. Each charges its architectural cost and returns the number of
-// resident entries it touched, so the shootdown subsystem can attribute
-// remote invalidation traffic precisely.
-
-// UpdateRights rewrites the resident PLB entry for (d, va) if present —
-// the cheap single-entry update of Section 4.1.2. When the entry is not
-// resident nothing is done; the new rights will fault in lazily.
-func (m *PLBMachine) UpdateRights(d addr.DomainID, va addr.VA, r addr.Rights) int {
-	if m.plb.Update(d, va, r) {
-		m.cycles.Add(m.cfg.Costs.Install)
-		return 1
-	}
-	return 0
-}
-
 // InstallRights eagerly inserts a PLB entry (used when the kernel chooses
 // to pre-load rather than fault-in, and by sub-page experiments that
 // install at non-default shifts).
@@ -242,92 +227,104 @@ func (m *PLBMachine) InstallRights(d addr.DomainID, va addr.VA, shift uint, r ad
 	}
 }
 
-// InvalidateRights drops the PLB entry for (d, va) if resident (at
-// every configured size class).
-func (m *PLBMachine) InvalidateRights(d addr.DomainID, va addr.VA) int {
-	if m.plb.Invalidate(d, va) {
-		m.cycles.Add(m.cfg.Costs.PurgeEntry)
-		return 1
+// Apply performs one protection-maintenance request on this CPU's
+// structures — the kernel's domain-page engine issues the same request
+// locally and to every remote sharer. Each kind charges its
+// architectural cost and returns the number of resident entries it
+// touched, so the shootdown subsystem can attribute remote
+// invalidation traffic precisely.
+func (m *PLBMachine) Apply(r smp.Request) int {
+	c := &m.cfg.Costs
+	va := m.cfg.Geometry.Base(r.VPN)
+	switch r.Kind {
+	case smp.InvalRights:
+		// Drop the PLB entry for (d, va) if resident, at every
+		// configured size class.
+		if m.plb.Invalidate(r.Domain, va) {
+			m.cycles.Add(c.PurgeEntry)
+			return 1
+		}
+	case smp.UpdateRights:
+		// Rewrite the resident PLB entry for (d, va) — the cheap
+		// single-entry update of Section 4.1.2. When the entry is not
+		// resident nothing is done; the new rights fault in lazily.
+		if m.plb.Update(r.Domain, va, r.Rights) {
+			m.cycles.Add(c.Install)
+			return 1
+		}
+	case smp.RangeRights:
+		// Rewrite all of d's resident entries overlapping the range —
+		// the segment-wide per-domain rights change of Table 1 (GC
+		// flip, checkpoint restrict). An entry-by-entry hardware scan
+		// inspects every slot, valid or not (§4.1.1 "inspect each
+		// entry"), so this and the other scans charge full capacity.
+		return m.scan(m.plb.UpdateRange(r.Domain, r.Range.Start, r.Range.Length, r.Rights))
+	case smp.RangeDetach:
+		// Purge all of d's entries overlapping the range: the
+		// segment-detach scan of Section 4.1.1.
+		return m.scan(m.plb.PurgeRange(r.Domain, r.Range.Start, r.Range.Length))
+	case smp.RangePurge:
+		// Segment destruction: every domain's entries in the range go,
+		// with no cycles charged for the scan.
+		return m.plb.PurgeRangeAll(r.Range.Start, r.Range.Length)
+	case smp.PurgeAllProt:
+		// Flash-clear the whole PLB in one operation — the cheap but
+		// indiscriminate detach alternative of Section 4.1.1 ("Purge
+		// the PLB or inspect each entry..."): every domain's rights
+		// must fault back in.
+		n := m.plb.PurgeAll()
+		m.cycles.Add(c.RegisterWrite)
+		return n
+	case smp.DomainPurge:
+		// Drop every PLB entry of domain d — the domain-destroy scan.
+		return m.scan(m.plb.PurgeDomain(r.Domain))
+	case smp.PurgePage:
+		// Remove every domain's entries for the page (rights changed
+		// for all domains at once).
+		return m.scan(m.plb.PurgePage(va))
+	case smp.Unmap:
+		// The TLB entry goes and the page's cache lines are flushed
+		// (Section 4.1.3). The PLB needs no maintenance — stale entries
+		// age out, and any touch faults on the missing translation.
+		return unmapPage(m.tlb.Invalidate(r.VPN), m.cache, r.VPN, m.cfg.Geometry, c, &m.cycles)
 	}
 	return 0
 }
 
-// UpdateRange rewrites all of d's resident PLB entries overlapping the
-// range to the given rights — the segment-wide per-domain rights change of
-// Table 1 (GC flip, checkpoint restrict). The whole PLB is scanned: an
-// entry-by-entry hardware scan inspects every slot, valid or not
-// (§4.1.1 "inspect each entry"), so the charge covers the full capacity.
-func (m *PLBMachine) UpdateRange(d addr.DomainID, start addr.VA, length uint64, r addr.Rights) int {
-	n := m.plb.UpdateRange(d, start, length, r)
+// scan charges one full-PLB scan and passes n through.
+func (m *PLBMachine) scan(n int) int {
 	m.cycles.Add(uint64(m.plb.Capacity()) * m.cfg.Costs.PurgeEntry)
 	return n
 }
 
-// PurgeAllPLB flash-clears the whole PLB in one operation — the cheap
-// but indiscriminate detach alternative of Section 4.1.1 ("Purge the PLB
-// or inspect each entry..."): every domain's rights must fault back in.
-func (m *PLBMachine) PurgeAllPLB() int {
+// PurgeAll flash-clears the PLB and the TLB and flushes the data cache,
+// returning the number of PLB and TLB entries dropped. The cache flush
+// is part of a bulk invalidation: a virtually-tagged line hits without
+// consulting translation, so the proof that a purged CPU holds nothing
+// must cover the cache, or a stale line would satisfy an access to a
+// page that is no longer mapped.
+func (m *PLBMachine) PurgeAll() int {
 	n := m.plb.PurgeAll()
 	m.cycles.Add(m.cfg.Costs.RegisterWrite)
+	n += m.tlb.PurgeAll()
+	flushVIVT(m.cache, &m.cfg.Costs, &m.cycles)
 	return n
 }
 
-// DetachRange purges all of d's PLB entries overlapping the range: the
-// segment-detach scan of Section 4.1.1. Every PLB slot is inspected, so
-// the scan costs capacity x per-entry purge regardless of occupancy.
-func (m *PLBMachine) DetachRange(d addr.DomainID, start addr.VA, length uint64) int {
-	n := m.plb.PurgeRange(d, start, length)
-	m.cycles.Add(uint64(m.plb.Capacity()) * m.cfg.Costs.PurgeEntry)
-	return n
+// HasDomainEntries reports whether the PLB still holds an entry naming
+// d (the scan after a removal request that decides whether the CPU
+// left d's residency set).
+func (m *PLBMachine) HasDomainEntries(d addr.DomainID) bool {
+	found := false
+	m.plb.ForEach(func(key plb.Key, _ addr.Rights) bool {
+		found = key.Domain == d
+		return !found
+	})
+	return found
 }
 
-// PurgeDomain drops every PLB entry of domain d — the domain-destroy
-// scan. Like the other scan operations, every slot is inspected whether
-// or not it belongs to d, so the charge covers the full capacity.
-func (m *PLBMachine) PurgeDomain(d addr.DomainID) int {
-	n := m.plb.PurgeDomain(d)
-	m.cycles.Add(uint64(m.plb.Capacity()) * m.cfg.Costs.PurgeEntry)
-	return n
-}
-
-// PurgePage removes every domain's PLB entries for the page holding va
-// (used when rights change for all domains at once). Like the other scan
-// operations this inspects every slot of the PLB.
-func (m *PLBMachine) PurgePage(va addr.VA) int {
-	n := m.plb.PurgePage(va)
-	m.cycles.Add(uint64(m.plb.Capacity()) * m.cfg.Costs.PurgeEntry)
-	return n
-}
-
-// UnmapPage destroys the translation for vpn: the TLB entry is
-// invalidated and the page's lines are flushed from the data cache
-// (Section 4.1.3). The PLB needs no maintenance — stale entries age out,
-// and any touch faults on the missing translation.
-func (m *PLBMachine) UnmapPage(vpn addr.VPN) int {
-	c := &m.cfg.Costs
-	n := 0
-	if m.tlb.Invalidate(vpn) {
-		m.cycles.Add(c.PurgeEntry)
-		n = 1
-	}
-	flushed, dirty := m.cache.FlushPage(m.cfg.Geometry.Base(vpn), m.cfg.Geometry)
-	m.cycles.Add(uint64(m.cache.LinesPerPage(m.cfg.Geometry)) * c.CacheLineFlush)
-	m.cycles.Add(uint64(dirty) * c.Writeback)
-	_ = flushed
-	return n
-}
-
-// FlushDataCache flushes every line of the VIVT data cache, charging
-// the per-line flush and writeback costs. Part of a bulk invalidation:
-// a virtually-tagged line hits without consulting translation, so the
-// proof that a purged CPU holds nothing must cover the cache, or a
-// stale line would satisfy an access to a page that is no longer
-// mapped.
-func (m *PLBMachine) FlushDataCache() int {
-	flushed, dirty := m.cache.FlushAll()
-	m.cycles.Add(uint64(flushed)*m.cfg.Costs.CacheLineFlush + uint64(dirty)*m.cfg.Costs.Writeback)
-	return flushed
-}
+// Capacity returns the entry capacity of the PLB plus the TLB.
+func (m *PLBMachine) Capacity() int { return m.plb.Capacity() + m.tlb.Capacity() }
 
 // Geometry returns the machine's translation page geometry.
 func (m *PLBMachine) Geometry() addr.Geometry { return m.cfg.Geometry }
