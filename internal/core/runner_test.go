@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -19,9 +20,14 @@ var serialSweep = sync.OnceValue(func() Summary { return RunAll(1) })
 
 // TestRunAllDeterministic is the harness's core guarantee: serial and
 // wide-parallel sweeps must render byte-identical tables and identical
-// measurements, because every experiment isolates its own state.
+// measurements, because every experiment isolates its own state. The
+// serial sweep's output — what `tablegen` prints — must also match
+// testdata/tables.golden byte for byte, so a change that moves any
+// table cell, ratio or note fails here. Regenerate it deliberately with
+// UPDATE_TABLES_GOLDEN=1 go test ./internal/core -run TestRunAllDeterministic.
 func TestRunAllDeterministic(t *testing.T) {
 	s1 := serialSweep()
+	checkTablesGolden(t, s1)
 	s8 := RunAll(8)
 	if len(s1.Results) != len(s8.Results) {
 		t.Fatalf("result counts differ: %d vs %d", len(s1.Results), len(s8.Results))
@@ -57,6 +63,40 @@ func TestRunAllDeterministic(t *testing.T) {
 	if !mapsEqual(s1.Totals, s8.Totals) {
 		t.Errorf("suite counter totals differ between parallelism levels")
 	}
+}
+
+// checkTablesGolden compares the sweep's rendered sections against
+// testdata/tables.golden, naming the first differing line.
+func checkTablesGolden(t *testing.T, s Summary) {
+	t.Helper()
+	var b strings.Builder
+	for _, r := range s.Results {
+		b.WriteString(r.Section())
+	}
+	got := b.String()
+	const golden = "testdata/tables.golden"
+	if os.Getenv("UPDATE_TABLES_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Log("regenerated " + golden)
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gotLines := strings.Split(got, "\n")
+	wantLines := strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("table output diverges from %s at line %d:\n got: %q\nwant: %q", golden, i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("table output length differs from %s: got %d lines, want %d", golden, len(gotLines), len(wantLines))
 }
 
 // TestExperimentsConcurrentSameID runs one experiment from several
