@@ -11,7 +11,7 @@ import (
 // pool and counters are warm, a create/destroy cycle must not allocate —
 // empty domains are lazily initialized (attached/overrides/groups all
 // materialize on first use) and destroyed structs are pooled with their
-// maps cleared and their group sets truncated, not dropped. A regression
+// attachment and group sets truncated, not dropped. A regression
 // here turns million-session workloads into GC benchmarks. Every gate
 // runs on all four organizations.
 
@@ -50,7 +50,7 @@ func TestEmptyDomainChurnAllocs(t *testing.T) {
 
 // TestSessionChurnAllocs is the gate for the realistic shape: recycled
 // domains attach to long-lived segments, touch nothing, and die. The
-// attachment bookkeeping reuses the pooled struct's cleared maps.
+// attachment bookkeeping reuses the pooled struct's truncated sets.
 func TestSessionChurnAllocs(t *testing.T) {
 	for _, model := range allocModels {
 		t.Run(model.String(), func(t *testing.T) {

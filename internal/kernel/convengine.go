@@ -81,8 +81,8 @@ func (e *convEngine) onDestroySegment(s *Segment) {
 func (e *convEngine) onDestroyDomain(d *Domain) {
 	e.k.purgeDomain(d)
 	var slots uint64
-	for sid := range d.attached {
-		if s, ok := e.k.segments[sid]; ok {
+	for _, a := range d.attached {
+		if s, ok := e.k.segments[a.id]; ok {
 			slots += s.NumPages()
 		}
 	}
@@ -97,8 +97,8 @@ func (e *convEngine) onDestroyDomain(d *Domain) {
 // overhead the single-space models avoid).
 func (e *convEngine) onFork(parent, child *Domain) {
 	var slots uint64
-	for sid := range child.attached {
-		if s, ok := e.k.segments[sid]; ok {
+	for _, a := range child.attached {
+		if s, ok := e.k.segments[a.id]; ok {
 			slots += s.NumPages()
 		}
 	}

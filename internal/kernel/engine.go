@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -71,7 +70,7 @@ func (k *Kernel) ClearPageRights(d *Domain, va addr.VA) error {
 		return nil
 	}
 	k.overridesRW(d).Clear(vpn)
-	r := d.attached[s.ID]
+	r, _ := d.attached.get(s.ID)
 	k.ctrs.Inc("kernel.clear_page_rights")
 	err := k.engine.setPageRights(d, vpn, r)
 	k.flushIPIs()
@@ -82,11 +81,12 @@ func (k *Kernel) ClearPageRights(d *Domain, va addr.VA) error {
 // at once (GC space flips, checkpoint restriction — the segment-wide rows
 // of Table 1). Any per-page overrides d held in the segment are cleared.
 func (k *Kernel) SetSegmentRights(d *Domain, s *Segment, r addr.Rights) error {
-	if _, ok := d.attached[s.ID]; !ok {
+	i, ok := d.attached.index(s.ID)
+	if !ok {
 		return ErrNotAttached
 	}
-	d.attached[s.ID] = r
-	s.attached[d.ID] = r
+	d.attached[i].v = r
+	s.attached.set(d.ID, r)
 	if d.overrides.Len() > 0 {
 		k.overridesRW(d).ClearRange(k.geo.PageNumber(s.Range.Start), s.NumPages())
 	}
@@ -227,56 +227,13 @@ type derivedGroup struct {
 	// members lists the domains holding the group with their
 	// write-disable bits, ascending by ID: revocation walks it in stored
 	// order, so its shootdowns enqueue deterministically without a sort.
-	members []groupMember
-}
-
-// groupMember is one domain's membership in a derived group.
-type groupMember struct {
-	id addr.DomainID
-	wd bool
-}
-
-// memberIndex returns where did sits in the member list, or where it
-// would be inserted, and whether it is present. (A hand-written search:
-// slices.BinarySearchFunc calls its comparator through a function value
-// on every probe, and fork and destroy search once per derived group.)
-func (dg *derivedGroup) memberIndex(did addr.DomainID) (int, bool) {
-	lo, hi := 0, len(dg.members)
-	for lo < hi {
-		h := int(uint(lo+hi) >> 1)
-		if dg.members[h].id < did {
-			lo = h + 1
-		} else {
-			hi = h
-		}
-	}
-	return lo, lo < len(dg.members) && dg.members[lo].id == did
-}
-
-// addMember records did in the group with write-disable bit wd.
-func (dg *derivedGroup) addMember(did addr.DomainID, wd bool) {
-	i, ok := dg.memberIndex(did)
-	if ok {
-		dg.members[i].wd = wd
-		return
-	}
-	dg.members = slices.Insert(dg.members, i, groupMember{id: did, wd: wd})
-}
-
-// removeMember drops did from the group, reporting whether it was a
-// member.
-func (dg *derivedGroup) removeMember(did addr.DomainID) bool {
-	i, ok := dg.memberIndex(did)
-	if ok {
-		dg.members = slices.Delete(dg.members, i, i+1)
-	}
-	return ok
+	members idSet[addr.DomainID, bool]
 }
 
 // unindex drops derived group g from the signature index. Called when
 // g's membership diverges from its creation-time signature: the stale
-// index entry could never pass membersMatch, so g just stops being a
-// reuse candidate (seekers mint a fresh group; the page-count GC
+// index entry could never match a seeker's member list, so g just stops
+// being a reuse candidate (seekers mint a fresh group; the page-count GC
 // reclaims this one when its last page leaves).
 func (e *pgEngine) unindex(g addr.GroupID, dg *derivedGroup) {
 	if dg.sig == "" {
@@ -360,13 +317,13 @@ func (e *pgEngine) withdraw(d *Domain, g addr.GroupID) {
 // application") and never requires touching the per-page TLB entries.
 func (e *pgEngine) recomputePrimary(s *Segment) {
 	union := addr.None
-	for _, r := range s.attached {
-		union |= r
+	for _, a := range s.attached {
+		union |= a.v
 	}
 	field := s.groupRights | union
-	for _, did := range e.k.sortedAttached(s) {
-		r := s.attached[did]
-		d := e.k.doms.get(did)
+	for _, a := range s.attached {
+		r := a.v
+		d := e.k.doms.get(a.id)
 		if d == nil {
 			continue
 		}
@@ -403,21 +360,6 @@ func (e *pgEngine) recomputePrimary(s *Segment) {
 	}
 }
 
-// sortedAttached fills the kernel's scratch buffer with the segment's
-// attached domain IDs ascending — shootdown-enqueueing loops iterate it
-// instead of the map so IPI order (and with it chaos fault injection)
-// is deterministic. The returned slice is only valid until the next
-// call.
-func (k *Kernel) sortedAttached(s *Segment) []addr.DomainID {
-	ids := k.didScratch[:0]
-	for did := range s.attached {
-		ids = append(ids, did)
-	}
-	slices.Sort(ids)
-	k.didScratch = ids
-	return ids
-}
-
 // segPages returns the VPNs of the segment's touched pages ascending
 // (pageRecs replaces the old scan over every page record in the kernel,
 // which cost O(all pages) per segment resync).
@@ -435,8 +377,8 @@ func (e *pgEngine) onAttach(d *Domain, s *Segment, r addr.Rights) {
 	// write; otherwise the page-group model clamps the odd domain (the
 	// model's expressiveness limit, Section 4.1.2).
 	union := addr.None
-	for _, rr := range s.attached {
-		union |= rr
+	for _, a := range s.attached {
+		union |= a.v
 	}
 	if r != addr.None && r != union && r != union.WithoutWrite() {
 		e.hClamps.Inc()
@@ -472,20 +414,21 @@ func (e *pgEngine) resyncSegment(s *Segment) {
 }
 
 // desiredVector computes, for every domain attached to the page's
-// segment, the rights the kernel wants it to have on the page.
-func (e *pgEngine) desiredVector(p *page, vpn addr.VPN) map[addr.DomainID]addr.Rights {
-	out := make(map[addr.DomainID]addr.Rights)
-	for did, attachR := range p.seg.attached {
-		d := e.k.doms.get(did)
+// segment, the rights the kernel wants it to have on the page, ascending
+// by domain. Domains that want no access are left out.
+func (e *pgEngine) desiredVector(p *page, vpn addr.VPN) idSet[addr.DomainID, addr.Rights] {
+	out := make(idSet[addr.DomainID, addr.Rights], 0, len(p.seg.attached))
+	for _, a := range p.seg.attached {
+		d := e.k.doms.get(a.id)
 		if d == nil {
 			continue
 		}
-		r := attachR
+		r := a.v
 		if or, ok := d.overrides.Get(vpn); ok {
 			r = or
 		}
 		if r != addr.None {
-			out[did] = r
+			out = append(out, idEntry[addr.DomainID, addr.Rights]{id: a.id, v: r})
 		}
 	}
 	return out
@@ -509,22 +452,19 @@ func (e *pgEngine) regroup(vpn addr.VPN, p *page) error {
 	}
 
 	union := addr.None
-	for _, r := range desired {
-		union |= r
+	for _, w := range desired {
+		union |= w.v
 	}
 	// Representability check: every desired value must be the union or
-	// the union minus write.
-	wd := make(map[addr.DomainID]bool, len(desired))
-	for did, r := range desired {
-		switch r {
-		case union:
-			wd[did] = false
-		case union.WithoutWrite():
-			wd[did] = true
-		default:
+	// the union minus write. The walk is ascending, so the error names
+	// the lowest offending domain.
+	members := make(idSet[addr.DomainID, bool], len(desired))
+	for i, w := range desired {
+		if w.v != union && w.v != union.WithoutWrite() {
 			return fmt.Errorf("%w: page %#x domain %d wants %v, union %v",
-				ErrUnrepresentable, uint64(vpn), did, r, union)
+				ErrUnrepresentable, uint64(vpn), w.id, w.v, union)
 		}
+		members[i] = idEntry[addr.DomainID, bool]{id: w.id, v: w.v != union}
 	}
 
 	// If the desired vector is exactly the primary group's, return home.
@@ -533,10 +473,12 @@ func (e *pgEngine) regroup(vpn addr.VPN, p *page) error {
 		return nil
 	}
 
-	sig := e.signature(p.seg.ID, wd)
-	if g, ok := e.sigIndex[sig]; ok && e.membersMatch(g, wd) {
-		e.movePage(vpn, p, g, union)
-		return nil
+	sig := e.signature(p.seg.ID, members)
+	if g, ok := e.sigIndex[sig]; ok {
+		if dg := e.derived[g]; dg != nil && slices.Equal(dg.members, members) {
+			e.movePage(vpn, p, g, union)
+			return nil
+		}
 	}
 	// Create a derived group and grant it to the members (ascending ID
 	// order so the GroupLoad shootdowns enqueue deterministically).
@@ -544,15 +486,10 @@ func (e *pgEngine) regroup(vpn addr.VPN, p *page) error {
 	if err != nil {
 		return err
 	}
-	dg := &derivedGroup{seg: p.seg.ID, sig: sig, members: make([]groupMember, 0, len(wd))}
-	for did, w := range wd {
-		dg.members = append(dg.members, groupMember{id: did, wd: w})
+	for _, m := range members {
+		e.grant(e.k.doms.get(m.id), g, m.v)
 	}
-	slices.SortFunc(dg.members, func(a, b groupMember) int { return cmp.Compare(a.id, b.id) })
-	for _, m := range dg.members {
-		e.grant(e.k.doms.get(m.id), g, m.wd)
-	}
-	e.derived[g] = dg
+	e.derived[g] = &derivedGroup{seg: p.seg.ID, sig: sig, members: members}
 	e.sigIndex[sig] = g
 	e.movePage(vpn, p, g, union)
 	return nil
@@ -573,46 +510,30 @@ func (e *pgEngine) primaryEffective(s *Segment, r addr.Rights) addr.Rights {
 }
 
 // matchesPrimary reports whether the desired vector equals what the
-// primary group grants its members.
-func (e *pgEngine) matchesPrimary(s *Segment, desired map[addr.DomainID]addr.Rights) bool {
-	count := 0
-	for did, r := range s.attached {
-		if r == addr.None {
+// primary group grants its members: one merge walk of the two ascending
+// lists, skipping domains attached with no rights.
+func (e *pgEngine) matchesPrimary(s *Segment, desired idSet[addr.DomainID, addr.Rights]) bool {
+	j := 0
+	for _, a := range s.attached {
+		if a.v == addr.None {
 			continue
 		}
-		count++
-		dr, ok := desired[did]
-		if !ok || dr != e.primaryEffective(s, r) {
+		if j == len(desired) || desired[j].id != a.id || desired[j].v != e.primaryEffective(s, a.v) {
 			return false
 		}
+		j++
 	}
-	return count == len(desired)
+	return j == len(desired)
 }
 
-func (e *pgEngine) membersMatch(g addr.GroupID, wd map[addr.DomainID]bool) bool {
-	dg := e.derived[g]
-	if dg == nil || len(dg.members) != len(wd) {
-		return false
-	}
-	for _, m := range dg.members {
-		if w, ok := wd[m.id]; !ok || w != m.wd {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *pgEngine) signature(seg addr.SegmentID, wd map[addr.DomainID]bool) string {
-	ids := make([]addr.DomainID, 0, len(wd))
-	for did := range wd {
-		ids = append(ids, did)
-	}
-	slices.Sort(ids)
+// signature names a derived group's segment and member list (already
+// ascending), the key pages with identical sharing meet under.
+func (e *pgEngine) signature(seg addr.SegmentID, members idSet[addr.DomainID, bool]) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "s%d:", seg)
-	for _, did := range ids {
-		fmt.Fprintf(&b, "%d", did)
-		if wd[did] {
+	for _, m := range members {
+		fmt.Fprintf(&b, "%d", m.id)
+		if m.v {
 			b.WriteByte('w')
 		}
 		b.WriteByte(',')
@@ -726,7 +647,7 @@ func (e *pgEngine) onDestroySegment(s *Segment) {
 // the pooled Domain's next incarnation reuses its capacity.
 func (e *pgEngine) onDestroyDomain(d *Domain) {
 	for _, ga := range d.groups {
-		if dg := e.derived[ga.Group]; dg != nil && dg.removeMember(d.ID) {
+		if dg := e.derived[ga.Group]; dg != nil && dg.members.remove(d.ID) {
 			e.unindex(ga.Group, dg)
 		}
 		e.withdraw(d, ga.Group)
@@ -749,7 +670,7 @@ func (e *pgEngine) onFork(parent, child *Domain) {
 	for _, ga := range parent.groups {
 		if dg := e.derived[ga.Group]; dg != nil {
 			e.unindex(ga.Group, dg)
-			dg.addMember(child.ID, ga.WriteDisable)
+			dg.members.set(child.ID, ga.WriteDisable)
 		}
 	}
 	e.hForkCopies.Add(uint64(len(parent.groups)))

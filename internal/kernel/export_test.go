@@ -7,6 +7,57 @@ import (
 	"repro/internal/addr"
 )
 
+// AuditAttachments checks the two sides of the attachment bookkeeping
+// against each other, for every model:
+//
+//   - every live domain's attached set and every segment's attached set
+//     is strictly ascending;
+//   - the sides mirror each other: a domain lists a segment exactly
+//     when the segment lists the domain, with equal rights;
+//   - no segment lists a dead domain, and no domain lists a destroyed
+//     segment.
+func AuditAttachments(k *Kernel) error {
+	var err error
+	k.doms.forEach(func(d *Domain) {
+		for i, a := range d.attached {
+			if err != nil {
+				return
+			}
+			if i > 0 && d.attached[i-1].id >= a.id {
+				err = fmt.Errorf("domain %d: attached set not strictly ascending at %d: %v", d.ID, i, d.attached)
+				return
+			}
+			s := k.segments[a.id]
+			if s == nil {
+				err = fmt.Errorf("domain %d lists destroyed segment %d", d.ID, a.id)
+				return
+			}
+			if r, ok := s.attached.get(d.ID); !ok || r != a.v {
+				err = fmt.Errorf("domain %d holds segment %d at %v, but the segment lists %v (present %v)", d.ID, a.id, a.v, r, ok)
+				return
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for _, s := range k.segOrder {
+		for i, a := range s.attached {
+			if i > 0 && s.attached[i-1].id >= a.id {
+				return fmt.Errorf("segment %d: attached set not strictly ascending at %d: %v", s.ID, i, s.attached)
+			}
+			d := k.doms.get(a.id)
+			if d == nil {
+				return fmt.Errorf("segment %d lists dead domain %d", s.ID, a.id)
+			}
+			if r, ok := d.attached.get(s.ID); !ok || r != a.v {
+				return fmt.Errorf("segment %d lists domain %d at %v, but the domain holds %v (present %v)", s.ID, a.id, a.v, r, ok)
+			}
+		}
+	}
+	return nil
+}
+
 // AuditPageGroups checks the page-group engine's bookkeeping against
 // itself, not against hardware (the oracle does that):
 //
@@ -28,7 +79,7 @@ func AuditPageGroups(k *Kernel) error {
 		free[g] = true
 	}
 	var err error
-	holders := make(map[addr.GroupID][]groupMember)
+	holders := make(map[addr.GroupID]idSet[addr.DomainID, bool])
 	k.doms.forEach(func(d *Domain) {
 		for i, ga := range d.groups {
 			if err != nil {
@@ -44,7 +95,7 @@ func AuditPageGroups(k *Kernel) error {
 			}
 			if e.derived[ga.Group] != nil {
 				// forEach visits domains in ascending ID order.
-				holders[ga.Group] = append(holders[ga.Group], groupMember{id: d.ID, wd: ga.WriteDisable})
+				holders[ga.Group] = append(holders[ga.Group], idEntry[addr.DomainID, bool]{id: d.ID, v: ga.WriteDisable})
 			}
 		}
 	})

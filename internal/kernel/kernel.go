@@ -15,7 +15,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/addr"
@@ -176,9 +175,13 @@ type Segment struct {
 	// Range is the segment's fixed global address range.
 	Range addr.Range
 
-	kern     *kernel
-	handler  FaultHandler
-	attached map[addr.DomainID]addr.Rights
+	kern    *kernel
+	handler FaultHandler
+	// attached lists the domains attached to the segment with their
+	// attachment rights, ascending by domain: the mirror of each
+	// domain's own attached set, kept in step by every writer (Attach,
+	// Detach, SetSegmentRights, fork, destroy).
+	attached idSet[addr.DomainID, addr.Rights]
 	// group is the segment's primary page-group (page-group model).
 	group addr.GroupID
 	// groupRights is the primary group's rights field: the union of the
@@ -222,15 +225,10 @@ func (s *Segment) HasHandler() bool { return s.handler != nil }
 // the segment uses base-page protection entries).
 func (s *Segment) ProtShift() uint { return s.protShift }
 
-// AttachedDomains returns the IDs of all domains attached to the segment,
-// sorted.
-func (s *Segment) AttachedDomains() []addr.DomainID {
-	out := make([]addr.DomainID, 0, len(s.attached))
-	for d := range s.attached {
-		out = append(out, d)
-	}
-	slices.Sort(out)
-	return out
+// HasAttached reports whether the segment lists domain id as attached.
+func (s *Segment) HasAttached(id addr.DomainID) bool {
+	_, ok := s.attached.get(id)
+	return ok
 }
 
 // Domain is a protection domain: a set of access rights to segments and
@@ -243,10 +241,14 @@ type Domain struct {
 	// attached, overrides and groups are lazily initialized: an empty
 	// domain is a near-zero-allocation object (the multi-tenant churn
 	// target creates and destroys millions of them). Reads tolerate nil
-	// (nil map reads, nil slices and nil-receiver ProtTable queries are
-	// empty); writers go through ensureAttached/overridesRW, or append
-	// to groups.
-	attached map[addr.SegmentID]addr.Rights
+	// (nil slices and nil-receiver ProtTable queries are empty); writers
+	// insert into the sorted sets or go through overridesRW.
+	//
+	// attached is the domain's segment attachments with their rights,
+	// ascending by segment (the segment side mirrors it). Fork copies it
+	// and destroy walks it in order, so neither sorts; destroy truncates
+	// it, and the pooled struct's next incarnation reuses the capacity.
+	attached idSet[addr.SegmentID, addr.Rights]
 	// overrides may be shared copy-on-write with fork relatives
 	// (ForkDomain); the table's own referent count decides whether a
 	// mutation must clone first (overridesRW).
@@ -274,23 +276,13 @@ type Domain struct {
 // Attached reports whether the domain is attached to segment s and with
 // what rights.
 func (d *Domain) Attached(s *Segment) (addr.Rights, bool) {
-	r, ok := d.attached[s.ID]
-	return r, ok
-}
-
-// ensureAttached returns the domain's attachment map, materializing it
-// on first use.
-func (d *Domain) ensureAttached() map[addr.SegmentID]addr.Rights {
-	if d.attached == nil {
-		d.attached = make(map[addr.SegmentID]addr.Rights, 4)
-	}
-	return d.attached
+	return d.attached.get(s.ID)
 }
 
 // groupIndex returns where g sits in d's group set, or where it would
 // be inserted, and whether it is present. It is on the page-group
 // checker's miss path (DomainGroup), hence hand-written like
-// derivedGroup.memberIndex.
+// idSet.index.
 func (d *Domain) groupIndex(g addr.GroupID) (int, bool) {
 	lo, hi := 0, len(d.groups)
 	for lo < hi {
@@ -402,7 +394,7 @@ type kernel struct {
 	nextVA      addr.VA
 	freeVA      []addr.Range
 	// freeDomains pools destroyed Domain structs for ID recycling
-	// (lifecycle.go): LIFO, maps cleared for reuse. freeGroups recycles
+	// (lifecycle.go): LIFO, sets truncated for reuse. freeGroups recycles
 	// dead page-group numbers.
 	freeDomains []*Domain
 	freeGroups  []addr.GroupID
@@ -410,14 +402,6 @@ type kernel struct {
 	// (SetIDLimits); zero means the ID type's natural bound.
 	maxDomain addr.DomainID
 	maxGroup  addr.GroupID
-	// sidScratch is the reusable segment-ID buffer for lifecycle walks
-	// over a domain's attachment set (fork inherit, destroy detach). The
-	// kernel is single-threaded per instance, so one buffer suffices; it
-	// keeps a destroy cycle from allocating under session churn.
-	sidScratch []addr.SegmentID
-	// didScratch is the same for walks over a segment's attached
-	// domains (sortedAttached).
-	didScratch []addr.DomainID
 	// residentFIFO orders mapped pages for the page daemon's FIFO
 	// eviction; entries may be stale (skipped when popped).
 	residentFIFO []addr.VPN
@@ -818,13 +802,6 @@ func (k *Kernel) costs() cpu.CostModel { return k.mach.Costs() }
 // pagers to account work the cost model does not see directly).
 func (k *Kernel) Charge(n uint64) { k.cycles.Add(n) }
 
-// OnBackingStore reports whether the page was paged out and its contents
-// live in the paging backend.
-func (k *Kernel) OnBackingStore(vpn addr.VPN) bool {
-	p := k.pageTab.get(vpn)
-	return p != nil && p.onDisk
-}
-
 // SegmentOptions customize segment creation.
 type SegmentOptions struct {
 	// Name labels the segment in diagnostics.
@@ -884,7 +861,6 @@ func (k *Kernel) CreateSegmentChecked(npages uint64, opts SegmentOptions) (*Segm
 		Range:     addr.Range{Start: addr.VA(base), Length: length},
 		kern:      &k.kernel,
 		handler:   opts.Handler,
-		attached:  make(map[addr.DomainID]addr.Rights),
 		protShift: protShift,
 	}
 	// Engine allocation (the page-group model mints the segment's
@@ -907,9 +883,6 @@ func (k *Kernel) CreateSegmentChecked(npages uint64, opts SegmentOptions) (*Segm
 	k.hSegsCreated.Inc()
 	return s, nil
 }
-
-// SetHandler installs (or replaces) the segment's fault handler.
-func (k *Kernel) SetHandler(s *Segment, h FaultHandler) { s.handler = h }
 
 // Domains returns every live protection domain, sorted by ID.
 func (k *Kernel) Domains() []*Domain {
@@ -1117,8 +1090,8 @@ func (k *Kernel) pageRecord(vpn addr.VPN) *page {
 // page-group model the segment's group is added to the domain's group set
 // (Table 1, row 1).
 func (k *Kernel) Attach(d *Domain, s *Segment, r addr.Rights) {
-	d.ensureAttached()[s.ID] = r
-	s.attached[d.ID] = r
+	d.attached.set(s.ID, r)
+	s.attached.set(d.ID, r)
 	k.hAttach.Inc()
 	k.engine.onAttach(d, s, r)
 	k.flushIPIs()
@@ -1127,11 +1100,10 @@ func (k *Kernel) Attach(d *Domain, s *Segment, r addr.Rights) {
 // Detach revokes domain d's attachment to s and clears any per-page
 // overrides d held in the segment (Table 1, row 2).
 func (k *Kernel) Detach(d *Domain, s *Segment) error {
-	if _, ok := d.attached[s.ID]; !ok {
+	if !d.attached.remove(s.ID) {
 		return ErrNotAttached
 	}
-	delete(d.attached, s.ID)
-	delete(s.attached, d.ID)
+	s.attached.remove(d.ID)
 	if d.overrides.Len() > 0 {
 		startVPN := k.geo.PageNumber(s.Range.Start)
 		k.overridesRW(d).ClearRange(startVPN, s.NumPages())
@@ -1187,7 +1159,7 @@ func (k *Kernel) ResolveRights(d addr.DomainID, vpn addr.VPN) (addr.Rights, bool
 	if r, ok := dom.overrides.Get(vpn); ok {
 		return r | execR, true, true
 	}
-	if r, ok := dom.attached[s.ID]; ok {
+	if r, ok := dom.attached.get(s.ID); ok {
 		return r | execR, true, true
 	}
 	if execOK {

@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
@@ -513,21 +515,34 @@ func TestPGDerivedGroupReuse(t *testing.T) {
 	}
 }
 
+// TestPGUnrepresentableVector checks that rights vectors no rights
+// field plus write-disable bits can express fail with
+// ErrUnrepresentable, and that the error names the lowest offending
+// domain whatever else offends: two of three domains end up
+// execute-only beside a read-write-execute one, on fresh kernels, so
+// an order that varied run to run would show.
 func TestPGUnrepresentableVector(t *testing.T) {
-	k := New(DefaultConfig(ModelPageGroup))
-	a := k.CreateDomain()
-	b := k.CreateDomain()
-	s := k.CreateSegment(2, SegmentOptions{})
-	k.Attach(a, s, addr.RWX)
-	k.Attach(b, s, addr.RWX)
-	// a: execute-only, b: read-write — no single rights field plus
-	// write-disable bits expresses this.
-	if err := k.SetPageRights(a, s.Base(), addr.Execute); err == nil {
-		// a=x, union would be rwx (b has rwx)... a=x is neither rwx nor
-		// r-x; must fail.
-		t.Fatal("expected ErrUnrepresentable")
-	} else if !errors.Is(err, ErrUnrepresentable) {
-		t.Fatalf("err = %v, want ErrUnrepresentable", err)
+	for run := 0; run < 20; run++ {
+		k := New(DefaultConfig(ModelPageGroup))
+		a := k.CreateDomain()
+		b := k.CreateDomain()
+		c := k.CreateDomain()
+		s := k.CreateSegment(2, SegmentOptions{})
+		for _, d := range []*Domain{a, b, c} {
+			k.Attach(d, s, addr.RWX)
+		}
+		// c, then b, goes execute-only while a keeps rwx: x is neither
+		// the union rwx nor r-x. The override is recorded even though
+		// the regroup fails, so the second call sees two offenders.
+		for _, step := range []struct{ set, lowest *Domain }{{c, c}, {b, b}} {
+			err := k.SetPageRights(step.set, s.Base(), addr.Execute)
+			if !errors.Is(err, ErrUnrepresentable) {
+				t.Fatalf("run %d: err = %v, want ErrUnrepresentable", run, err)
+			}
+			if want := fmt.Sprintf("domain %d wants", step.lowest.ID); !strings.Contains(err.Error(), want) {
+				t.Fatalf("run %d: error %q does not name the lowest offending domain (%q)", run, err, want)
+			}
+		}
 	}
 }
 

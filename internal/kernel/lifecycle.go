@@ -3,7 +3,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/addr"
 )
@@ -18,7 +17,7 @@ import (
 // as the conventional machine's ASID, GroupID as the PA-RISC AID — nor
 // leave one byte of residual authority behind. Destroyed IDs go onto
 // free lists and are recycled LIFO; the Domain struct itself is pooled
-// so a recycled ID reuses its cleared maps.
+// so a recycled ID reuses its truncated sets.
 
 // Typed lifecycle errors.
 var (
@@ -55,19 +54,6 @@ func (k *Kernel) FreeGroupIDs() int { return len(k.freeGroups) }
 
 // DomainLive reports whether id names a live domain.
 func (k *Kernel) DomainLive(id addr.DomainID) bool { return k.doms.get(id) != nil }
-
-// attachedSorted fills the kernel's scratch buffer with d's attached
-// segment IDs in ascending order, for deterministic lifecycle walks.
-// The returned slice is only valid until the next call.
-func (k *Kernel) attachedSorted(d *Domain) []addr.SegmentID {
-	sids := k.sidScratch[:0]
-	for sid := range d.attached {
-		sids = append(sids, sid)
-	}
-	slices.Sort(sids)
-	k.sidScratch = sids
-	return sids
-}
 
 // CreateDomainChecked creates a new, empty protection domain, recycling
 // a destroyed ID when one is free and returning ErrDomainIDsExhausted
@@ -125,14 +111,11 @@ func (k *Kernel) ForkDomain(parent *Domain) (*Domain, error) {
 		return nil, err
 	}
 	if len(parent.attached) > 0 {
-		sids := k.attachedSorted(parent)
-		ca := child.ensureAttached()
-		for _, sid := range sids {
-			r := parent.attached[sid]
-			ca[sid] = r
-			k.segments[sid].attached[child.ID] = r
+		child.attached = append(child.attached[:0], parent.attached...)
+		for _, a := range parent.attached {
+			k.segments[a.id].attached.set(child.ID, a.v)
 		}
-		k.cycles.Add(uint64(len(sids)) * k.costs().Install)
+		k.cycles.Add(uint64(len(parent.attached)) * k.costs().Install)
 	}
 	if parent.overrides.Len() > 0 {
 		child.overrides = parent.overrides
@@ -162,14 +145,12 @@ func (k *Kernel) DestroyDomain(d *Domain) error {
 	// group memberships. Runs before the bookkeeping detach below so
 	// the engines still see the attachment set.
 	k.engine.onDestroyDomain(d)
-	if len(d.attached) > 0 {
-		for _, sid := range k.attachedSorted(d) {
-			if s := k.segments[sid]; s != nil {
-				delete(s.attached, d.ID)
-			}
+	for _, a := range d.attached {
+		if s := k.segments[a.id]; s != nil {
+			s.attached.remove(d.ID)
 		}
-		clear(d.attached)
 	}
+	d.attached = d.attached[:0]
 	d.overrides.Release()
 	d.overrides = nil
 	d.execSite = 0
@@ -177,7 +158,7 @@ func (k *Kernel) DestroyDomain(d *Domain) error {
 	k.doms.remove(d.ID)
 	d.cpus.Clear()
 	// Pool the struct: the ID rides along, so the next incarnation
-	// reuses the cleared maps.
+	// reuses the truncated sets' capacity.
 	k.freeDomains = append(k.freeDomains, d)
 	k.hDomainsDestroyed.Inc()
 	return nil

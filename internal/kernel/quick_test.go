@@ -39,12 +39,13 @@ func lifecycleScript(model kernel.Model, raw []byte) error {
 	destroyed := 0
 	dynSeg := 0
 
-	// auditGroups checks the page-group engine's own bookkeeping (sorted
-	// group sets, derived-group membership, free list); the oracle
+	// audit checks the kernel's own bookkeeping: the mirrored, sorted
+	// attachment sets on every model, and the page-group engine's
+	// group sets, derived-group membership and free list. The oracle
 	// checks only hardware against authority.
-	auditGroups := func() error {
-		if model != kernel.ModelPageGroup {
-			return nil
+	audit := func() error {
+		if err := kernel.AuditAttachments(k); err != nil {
+			return err
 		}
 		return kernel.AuditPageGroups(k)
 	}
@@ -145,7 +146,7 @@ func lifecycleScript(model kernel.Model, raw []byte) error {
 				}
 			}
 		}
-		if err := auditGroups(); err != nil {
+		if err := audit(); err != nil {
 			return fmt.Errorf("after op %d (%d, %d): %w", i/2, op%8, arg, err)
 		}
 	}
@@ -154,7 +155,7 @@ func lifecycleScript(model kernel.Model, raw []byte) error {
 		if err := destroy(len(live) - 1); err != nil {
 			return err
 		}
-		if err := auditGroups(); err != nil {
+		if err := audit(); err != nil {
 			return fmt.Errorf("after drain destroy: %w", err)
 		}
 	}

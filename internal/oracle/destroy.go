@@ -39,13 +39,11 @@ func DestroyViolations(k *kernel.Kernel, id addr.DomainID) []Violation {
 		})
 	}
 	for _, s := range k.Segments() {
-		for _, did := range s.AttachedDomains() {
-			if did == id {
-				out = append(out, Violation{
-					Where: "destroy", Domain: id,
-					Detail: fmt.Sprintf("segment %q still lists the domain as attached", s.Name),
-				})
-			}
+		if s.HasAttached(id) {
+			out = append(out, Violation{
+				Where: "destroy", Domain: id,
+				Detail: fmt.Sprintf("segment %q still lists the domain as attached", s.Name),
+			})
 		}
 	}
 	out = append(out, destroyCPUViolations(k, id)...)

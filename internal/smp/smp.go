@@ -473,9 +473,6 @@ func (s *Shootdown) AttachDevices(specs []DeviceSpec) {
 // NumCPUs returns the CPU seat count; device seats start here.
 func (s *Shootdown) NumCPUs() int { return s.ncpu }
 
-// NumTargets returns the total seat count: CPUs plus attached devices.
-func (s *Shootdown) NumTargets() int { return s.ncpu + len(s.devCluster) }
-
 // IsDevice reports whether target t is a device seat.
 func (s *Shootdown) IsDevice(t int) bool { return t >= s.ncpu }
 
@@ -580,10 +577,6 @@ func (s *Shootdown) Stale(t int) bool { return s.stale[t] }
 // semantics: it stays fenced from delivery, but a freshly purged CPU
 // holds no stale authority).
 func (s *Shootdown) Trusted(t int) bool { return !s.stale[t] }
-
-// MarkStale records that CPU t missed an invalidation (the kernel
-// skipped it during a shootdown because it was fenced).
-func (s *Shootdown) MarkStale(t int) { s.stale[t] = true }
 
 // SkipFenced records that the kernel suppressed an invalidation to
 // fenced CPU t: the CPU is marked stale and the skip is counted
